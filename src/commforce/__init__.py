@@ -1,6 +1,6 @@
 """Decide whether polynomial identities force rings to be commutative."""
 
-from .commalg import (CPoly, cartier, cartier_reconstruct, content_gcd,
+from .commalg import (CPoly, cartier, cartier_reconstruct,
                       field_ideal_normal_form, find_nonvanishing_point,
                       frobenius_scale, trial_factor, univ,
                       univariate_membership)

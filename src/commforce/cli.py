@@ -9,16 +9,18 @@ Identity files use a small line-based grammar::
 
 ``id a = b`` records the identity a - b.  Commands print a short text
 summary by default or a stable JSON document with --json; exit status
-is 0 for a verdict, 2 for parse or usage errors, 3 when a resource
-limit was hit.
+is 0 for a verdict, 1 when ``verify`` rejects the witness, 2 for parse
+or usage errors and any other malformed input (ring or witness JSON,
+``--set``, a non-prime ``--p``), 3 when a resource limit was hit.
 """
 
 import argparse
 import json
 import sys
 
+from .commalg import trial_factor
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
-                     decide_all, presented_scan_check)
+                     _closed_form_verdict, decide_all, presented_scan_check)
 from .errors import ResourceLimitError
 from .finitering import Presented, family_from_json, family_json, make_ring
 from .freealg import NcPoly, format_ncpoly
@@ -314,6 +316,14 @@ def _options(args):
     return opts
 
 
+def _prime(text):
+    """argparse type of ``certify --p``: the prime of the minimal ring."""
+    p = int(text)
+    if trial_factor(p) != [(p, 1)]:
+        raise argparse.ArgumentTypeError("%s is not a prime" % text)
+    return p
+
+
 def _load_ids(path):
     with open(path) as fh:
         return parse_identity_file(fh.read())
@@ -328,14 +338,11 @@ def _cmd_decide(args):
     return _exit_for(doc)
 
 
-def _simple_witness_doc(command, hit):
-    if hit is None:
-        return {"schema": SCHEMA, "command": command, "verdict": "forces"}
-    p, ring = hit
-    return {"schema": SCHEMA, "command": command, "verdict": "witness",
-            "prime": p, "ring": family_json(ring.family), "params": [],
-            "pair": _pair_json(None if ring.is_commutative() is True
-                               else ring.is_commutative())}
+def _closed_form(args, command, hit):
+    """Report a closed-form decider's answer (None means Forces)."""
+    doc = verdict_doc(command, _closed_form_verdict(hit))
+    _emit(doc, args.json, _verdict_lines(doc))
+    return _exit_for(doc)
 
 
 def _cmd_multilinear(args):
@@ -343,51 +350,56 @@ def _cmd_multilinear(args):
     for P in ids.polys:
         if not is_multilinear(P):
             raise ParseError(1, 1, "identities must be homogeneous multilinear")
-    doc = _simple_witness_doc("multilinear", multilinear_decide(list(ids.polys)))
-    _emit(doc, args.json, _verdict_lines(doc))
-    return _exit_for(doc)
+    return _closed_form(args, "multilinear", multilinear_decide(list(ids.polys)))
 
 
 def _cmd_univariate(args):
     P = parse_expression(args.poly, {"X": 1})
-    doc = _simple_witness_doc("univariate", univariate_decide(P))
-    _emit(doc, args.json, _verdict_lines(doc))
-    return _exit_for(doc)
+    return _closed_form(args, "univariate", univariate_decide(P))
 
 
 def _cmd_central(args):
     Q = parse_expression(args.poly, {"X": 1})
-    doc = _simple_witness_doc("central", central_decide(Q))
-    _emit(doc, args.json, _verdict_lines(doc))
-    return _exit_for(doc)
+    return _closed_form(args, "central", central_decide(Q))
 
 
 def _parse_set(text):
     try:
-        return sorted({int(x) for x in text.split(",") if x.strip()})
+        S = sorted({int(x) for x in text.split(",") if x.strip()})
     except ValueError:
-        raise ParseError(1, 1, "--set expects comma-separated integers")
+        S = []
+    if not S or S[0] < 2:
+        raise ParseError(1, 1, "--set expects comma-separated integers >= 2")
+    return S
 
 
 def _cmd_power(args):
-    doc = _simple_witness_doc("power", power_identity_decide(_parse_set(args.set)))
-    _emit(doc, args.json, _verdict_lines(doc))
-    return _exit_for(doc)
+    return _closed_form(args, "power", power_identity_decide(_parse_set(args.set)))
 
 
 def _cmd_freshman(args):
-    doc = _simple_witness_doc("freshman", freshman_decide(_parse_set(args.set)))
-    _emit(doc, args.json, _verdict_lines(doc))
-    return _exit_for(doc)
+    return _closed_form(args, "freshman", freshman_decide(_parse_set(args.set)))
+
+
+def _family(doc):
+    """Family of a ring document from the command line or a witness
+    file, with its tabled ring (None for a presented quotient)."""
+    try:
+        fam = family_from_json(doc)
+        return fam, None if isinstance(fam, Presented) else make_ring(fam)
+    except (ValueError, KeyError, TypeError) as err:
+        raise ParseError(1, 1, "bad ring spec: %s" % err)
 
 
 def _cmd_check(args):
     ids, _ = _load_ids(args.file)
     try:
-        fam = family_from_json(json.loads(args.ring))
-    except (ValueError, KeyError) as err:
+        doc = json.loads(args.ring)
+    except ValueError as err:
         raise ParseError(1, 1, "bad ring spec: %s" % err)
-    ring = make_ring(fam)
+    fam, ring = _family(doc)
+    if ring is None:
+        raise ParseError(1, 1, "check needs a tabled ring family")
     opts = _options(args)
     results = []
     all_ok = True
@@ -433,21 +445,24 @@ def _cmd_certify(args):
 
 def _cmd_verify(args):
     with open(args.witness) as fh:
-        wdoc = json.load(fh)
+        try:
+            wdoc = json.load(fh)
+            ring_doc = wdoc["ring"]
+        except (ValueError, KeyError, TypeError) as err:
+            raise ParseError(1, 1, "bad witness document: %s" % err)
     ids, _ = _load_ids(args.file)
-    fam = family_from_json(wdoc["ring"])
+    fam, ring = _family(ring_doc)
     opts = _options(args)
-    if isinstance(fam, Presented):
+    if ring is None:
         varmap = {"X": 1, "Y": 2}
         gens = [parse_expression(g, varmap) for g in fam.generators]
         basis = complete(gens, fam.p, fam.a, opts.gsb_limits)
         ok = presented_scan_check(ids, basis, wdoc.get("scan_length", 3), opts)
     else:
-        ring = make_ring(fam)
         ok = (ring.is_commutative() is not True
               and all(ring.is_identity(P, eval_cap=opts.eval_cap) is True
                       for P in ids.polys))
-    doc = {"schema": SCHEMA, "command": "verify", "ring": wdoc["ring"],
+    doc = {"schema": SCHEMA, "command": "verify", "ring": ring_doc,
            "valid": bool(ok)}
     _emit(doc, args.json,
           ["witness %s" % ("confirmed" if ok else "REJECTED")])
@@ -530,7 +545,7 @@ def build_parser():
 
     ce = sub.add_parser("certify",
                         help="certify identities on the minimal witness ring")
-    ce.add_argument("--p", type=int, required=True)
+    ce.add_argument("--p", type=_prime, required=True)
     ce.add_argument("file")
     _add_common(ce)
     ce.set_defaults(fn=_cmd_certify)

@@ -8,7 +8,7 @@ division tests modulo (p, X^p - X) and (p, (X^p - X)^2).
 """
 
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 
 
 def _canon(terms, modulus):
@@ -166,11 +166,6 @@ class CPoly:
         return "CPoly(%s)" % " ".join(parts)
 
 
-def content_gcd(P):
-    """gcd of all coefficients of a CPoly or NcPoly; 0 for zero."""
-    return P.content()
-
-
 def cartier(P, j):
     """Cartier operator Lambda_j: coefficient of X^(j + p*k) becomes the
     coefficient of X^k.  P must be tagged mod a prime p and every entry
@@ -226,13 +221,13 @@ def field_ideal_normal_form(P, p, n):
     return CPoly(t, P.nvars, p)
 
 
-def find_nonvanishing_point(P, bound=None):
+def find_nonvanishing_point(P):
     """First point of the grid {0,...,D}^s (lexicographic order) where
     the integer polynomial P is nonzero, with its value; None iff P = 0.
-    D defaults to the total degree of P, which suffices."""
+    D is the total degree of P, which suffices."""
     if P.is_zero():
         return None
-    D = bound if bound is not None else max(P.degree(), 0)
+    D = max(P.degree(), 0)
     for point in product(range(D + 1), repeat=P.nvars):
         v = P.eval(point)
         if v:
@@ -310,3 +305,25 @@ def trial_factor(N, step_budget=10 ** 7):
     if N > 1:
         out.append((N, 1))
     return sorted(out)
+
+
+def _primes_upto(n):
+    """The primes up to n, ascending (sieve of Eratosthenes)."""
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(n) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    return [i for i in range(2, n + 1) if sieve[i]]
+
+
+def _vp(c, p):
+    """Exponent of p in the integer c; 0 when c is zero."""
+    e = 0
+    c = abs(c)
+    while c and c % p == 0:
+        c //= p
+        e += 1
+    return e

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import gcd, isqrt
 
-from .commalg import (CPoly, field_ideal_normal_form, find_nonvanishing_point,
-                      frobenius_scale, trial_factor, univ)
+from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
+                      find_nonvanishing_point, frobenius_scale, trial_factor,
+                      univ)
 from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
                       reduce_Ap, reduce_caseI, deglex_key)
-from .gsb import CompletionLimits, complete, _occurrences
+from .gsb import (CompletionLimits, complete, _occurrences,
+                  is_commutative_presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -95,26 +97,6 @@ class DecideOptions:
     max_specializations: int = 200000
     max_normal_words: int = 5000
     fast_paths: bool = True
-
-
-def _primes_upto(n):
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(n) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def _vp(c, p):
-    e = 0
-    c = abs(c)
-    while c and c % p == 0:
-        c //= p
-        e += 1
-    return e
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +496,33 @@ class _AssignmentSpace:
         return rec(0, total)
 
 
+def _specialization_scan(ids, basis, scan_length, options, spent, detail):
+    """Substitute assignments over the normal words shorter than
+    ``scan_length`` into every identity, cheapest first, and reduce.
+    Returns the first nonzero normal form (None when all vanish) with
+    the running specialization count, which starts at ``spent``; past
+    the cap the scan stops with a limit carrying ``detail``."""
+    normal = _normal_words(basis, scan_length, basis.p, basis.a,
+                           options.max_normal_words)
+    space = _AssignmentSpace(normal, options.max_specializations)
+    s = ids.nvars
+    for total in range(space.max_cost * s + 1):
+        for tup in space.tuples_with_total(s, total):
+            spent += 1
+            if spent > options.max_specializations:
+                raise ResourceLimitError("specialization-scan",
+                                         options.max_specializations, detail)
+            assignment = {i + 1: NcPoly(dict(tup[i])) for i in range(s)}
+            for P in ids.polys:
+                nf = basis.normal_form(P.substitute(assignment))
+                if not nf.is_zero():
+                    return nf, spent
+    return None, spent
+
+
 def _ap_presented(ids, p, a, d, Gs, options):
     """Build the two-generator presentation for characteristic p^a and
     decide by completion whether a noncommutative model survives."""
-    s = ids.nvars
     b = min(a, _vp(d, p))
     pick = None
     for G in Gs:
@@ -543,43 +548,22 @@ def _ap_presented(ids, p, a, d, Gs, options):
     else:
         for w in product((1, 2), repeat=at):
             gens.append(NcPoly.from_word(w, pb))
-    comm_poly = NcPoly({(1, 2): 1, (2, 1): -1})
-    evals = 0
+    # the specialization count carries over from one completion round
+    # to the next: each nonzero image joins the generators and restarts
+    spent = 0
     while True:
         basis = complete(gens, p, a, options.gsb_limits)
-        if basis.normal_form(comm_poly).is_zero():
+        if is_commutative_presentation(basis):
             return None
-        normal = _normal_words(basis, at, p, a, options.max_normal_words)
-        space = _AssignmentSpace(normal, options.max_specializations)
-        top = space.max_cost * s
-        grew = False
-        for total in range(top + 1):
-            for tup in space.tuples_with_total(s, total):
-                evals += 1
-                if evals > options.max_specializations:
-                    raise ResourceLimitError(
-                        "specialization-scan", options.max_specializations,
-                        "p=%d a=%d" % (p, a))
-                assignment = {}
-                for i in range(s):
-                    assignment[i + 1] = NcPoly(dict(tup[i]))
-                for P in ids.polys:
-                    img = P.substitute(assignment)
-                    nf = basis.normal_form(img)
-                    if not nf.is_zero():
-                        gens.append(nf.lift())
-                        grew = True
-                        break
-                if grew:
-                    break
-            if grew:
-                break
-        if grew:
-            continue
-        ordered = sorted(basis.elements, key=lambda g: deglex_key(g.lead_word))
-        fam = Presented(p, a, tuple(format_ncpoly(g.as_ncpoly(), names="XY")
-                                    for g in ordered))
-        return (p, PresentedWitness(fam, basis, at))
+        nf, spent = _specialization_scan(ids, basis, at, options, spent,
+                                         "p=%d a=%d" % (p, a))
+        if nf is None:
+            break
+        gens.append(nf.lift())
+    ordered = sorted(basis.elements, key=lambda g: deglex_key(g.lead_word))
+    fam = Presented(p, a, tuple(format_ncpoly(g.as_ncpoly(), names="XY")
+                                for g in ordered))
+    return (p, PresentedWitness(fam, basis, at))
 
 
 def _ap_general(ids, options):
@@ -639,25 +623,10 @@ def presented_scan_check(ids, basis, scan_length, options=None):
     zero under every specialization over normal words shorter than
     ``scan_length``."""
     options = options or DecideOptions()
-    comm = NcPoly({(1, 2): 1, (2, 1): -1})
-    if basis.normal_form(comm).is_zero():
+    if is_commutative_presentation(basis):
         return False
-    normal = _normal_words(basis, scan_length, basis.p, basis.a,
-                           options.max_normal_words)
-    space = _AssignmentSpace(normal, options.max_specializations)
-    s = ids.nvars
-    evals = 0
-    for total in range(space.max_cost * s + 1):
-        for tup in space.tuples_with_total(s, total):
-            evals += 1
-            if evals > options.max_specializations:
-                raise ResourceLimitError("specialization-scan",
-                                         options.max_specializations, "verify")
-            assignment = {i + 1: NcPoly(dict(tup[i])) for i in range(s)}
-            for P in ids.polys:
-                if not basis.normal_form(P.substitute(assignment)).is_zero():
-                    return False
-    return True
+    nf, _ = _specialization_scan(ids, basis, scan_length, options, 0, "verify")
+    return nf is None
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +639,12 @@ def _witness_verdict(p, witness, params=()):
     pair = witness.is_commutative()
     return Verdict("witness", prime=p, family=witness.family, witness=witness,
                    params=tuple(params), pair=None if pair is True else pair)
+
+
+def _closed_form_verdict(hit):
+    """Verdict of a closed-form decider's answer: None means Forces,
+    otherwise (p, ring) is the witness."""
+    return Verdict("forces") if hit is None else _witness_verdict(*hit)
 
 
 def _central_form(P):
@@ -699,24 +674,14 @@ def _fast_path(ids, options):
     from . import theorems
     polys = ids.polys
     if all(theorems.is_multilinear(P) for P in polys):
-        hit = theorems.multilinear_decide(list(polys))
-        if hit is None:
-            return Verdict("forces")
-        return _witness_verdict(hit[0], hit[1])
+        return _closed_form_verdict(theorems.multilinear_decide(list(polys)))
     if len(polys) == 1:
         P = polys[0]
-        vs = P.variables()
-        if vs in ([], [1]):
-            hit = theorems.univariate_decide(P)
-            if hit is None:
-                return Verdict("forces")
-            return _witness_verdict(hit[0], hit[1])
+        if P.variables() in ([], [1]):
+            return _closed_form_verdict(theorems.univariate_decide(P))
         Q = _central_form(P)
         if Q is not None:
-            hit = theorems.central_decide(Q)
-            if hit is None:
-                return Verdict("forces")
-            return _witness_verdict(hit[0], hit[1])
+            return _closed_form_verdict(theorems.central_decide(Q))
     return None
 
 

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
+# tuples evaluated per numpy batch in TabledRing.is_identity
+_CHUNK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # finite fields
@@ -83,9 +86,6 @@ class Fq:
     def one(self):
         return (1,) + (0,) * (self.n - 1)
 
-    def embed(self, c):
-        return (c % self.p,) + (0,) * (self.n - 1)
-
     def gen(self):
         if self.n == 1:
             raise ValueError("prime field has no proper generator element")
@@ -116,10 +116,6 @@ class Fq:
     def elements(self):
         for tup in product(range(self.p), repeat=self.n):
             yield tup
-
-
-def frobenius(field, x, k=1):
-    return field.frobenius(x, k)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +261,6 @@ class TabledRing:
             idx //= self.char
         return tuple(reversed(out))
 
-    def elements(self):
-        for idx in range(self.size):
-            yield self.element_from_index(idx)
-
     def eval(self, P, tup):
         """Evaluate an NcPoly at a tuple of ring elements."""
         vs = P.variables()
@@ -306,20 +298,11 @@ class TabledRing:
             acc += (c % self.char) * cache[w]
         return acc % self.char
 
-    def is_identity(self, P, mode="exhaustive", trials=200, seed=0,
-                    eval_cap=10 ** 7, chunk=1 << 16):
+    def is_identity(self, P, eval_cap=10 ** 7):
         """True if P vanishes at every tuple, else the first failing
-        tuple in scan order.  ``random`` mode is a screen only."""
+        tuple in scan order."""
         vs = P.variables()
         s = max(vs) if vs else 1
-        if mode == "random":
-            rng = np.random.default_rng(seed)
-            for _ in range(trials):
-                tup = tuple(self.element_from_index(int(rng.integers(self.size)))
-                            for _ in range(s))
-                if any(self.eval(P, tup)):
-                    return tup
-            return True
         total = self.size ** s
         if total > eval_cap:
             raise ResourceLimitError("exhaustive-eval", eval_cap,
@@ -331,8 +314,8 @@ class TabledRing:
         for i in range(self.dim - 1, -1, -1):
             elems[:, i] = rest % self.char
             rest = rest // self.char
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
+        for lo in range(0, total, _CHUNK):
+            hi = min(lo + _CHUNK, total)
             flat = np.arange(lo, hi, dtype=np.int64)
             rest = flat
             idxs = []

@@ -261,9 +261,6 @@ class CaseIForm:
     def pairs(self):
         return sorted({(i, j) for (i, j, _, _) in self.comm_terms})
 
-    def block(self, i, j):
-        return [(A, C) for (a, b, A, C) in self.comm_terms if (a, b) == (i, j)]
-
     def reassemble(self):
         """bar + sum A*[X_i,X_j]*C, for evaluation-based checks."""
         out = self.bar

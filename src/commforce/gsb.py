@@ -13,6 +13,7 @@ ideal membership.
 import heapq
 from dataclasses import dataclass
 
+from .commalg import _vp
 from .errors import ResourceLimitError
 from .freealg import NcPoly, deglex_key
 
@@ -22,14 +23,6 @@ class CompletionLimits:
     max_basis_size: int = 20000
     max_degree: int = 40
     max_steps: int = 10 ** 6
-
-
-def _vp(c, p):
-    e = 0
-    while c % p == 0:
-        c //= p
-        e += 1
-    return e
 
 
 class GsPoly:
@@ -119,24 +112,19 @@ def reduce_terms(terms, basis, p, a):
 
 
 class GsBasis:
-    """A (possibly completed) basis with its order and limit data."""
+    """A (possibly completed) basis with its completion step count."""
 
-    def __init__(self, elements, p, a, complete, limits, steps=0):
+    def __init__(self, elements, p, a, complete, steps=0):
         self.elements = list(elements)
         self.p = p
         self.a = a
         self.complete = complete
-        self.limits = limits
         self.steps = steps
 
     def normal_form(self, f):
         """Normal form of an NcPoly (or GsPoly) as an NcPoly mod p^a;
         zero iff f lies in the ideal when the basis is complete."""
-        if isinstance(f, GsPoly):
-            terms = f.terms
-        else:
-            terms = f.terms
-        red = reduce_terms(terms, self.elements, self.p, self.a)
+        red = reduce_terms(f.terms, self.elements, self.p, self.a)
         return NcPoly(red, self.p ** self.a)
 
     def dump(self):
@@ -177,7 +165,7 @@ def _compositions(f, g, p, a):
                 yield (len(wf), terms)
 
 
-def complete(generators, p, a, limits=None, interreduce=True):
+def complete(generators, p, a, limits=None):
     """Close the generated two-sided ideal's basis under compositions.
 
     ``generators`` is a list of NcPoly (any modulus tag, coefficients
@@ -205,7 +193,7 @@ def complete(generators, p, a, limits=None, interreduce=True):
 
     def fail(which, value):
         err = ResourceLimitError("gsb-completion", value, which)
-        err.partial = GsBasis(basis, p, a, False, limits, steps)
+        err.partial = GsBasis(basis, p, a, False, steps)
         raise err
 
     while heap:
@@ -219,15 +207,14 @@ def complete(generators, p, a, limits=None, interreduce=True):
         g = GsPoly(red, p, a)
         if len(g.lead_word) > limits.max_degree:
             fail("max_degree", limits.max_degree)
-        if interreduce:
-            keep = []
-            for b in basis:
-                if (g.lead_exp <= b.lead_exp
-                        and _occurrences(g.lead_word, b.lead_word)):
-                    push(dict(b.terms))
-                else:
-                    keep.append(b)
-            basis = keep
+        keep = []
+        for b in basis:
+            if (g.lead_exp <= b.lead_exp
+                    and _occurrences(g.lead_word, b.lead_word)):
+                push(dict(b.terms))
+            else:
+                keep.append(b)
+        basis = keep
         basis.append(g)
         if len(basis) > limits.max_basis_size:
             fail("max_basis_size", limits.max_basis_size)
@@ -241,7 +228,7 @@ def complete(generators, p, a, limits=None, interreduce=True):
             if b is not g:
                 for _, t in _compositions(b, g, p, a):
                     push(t)
-    return GsBasis(basis, p, a, True, limits, steps)
+    return GsBasis(basis, p, a, True, steps)
 
 
 def is_commutative_presentation(basis):

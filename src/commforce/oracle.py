@@ -1,10 +1,13 @@
 """Independent cross-checks for the decision procedures.
 
 A bounded brute-force search over the small witness families gives an
-oracle that is slow but has no shared code path with the decision
-logic; cross_validate compares its outcome with a verdict.  Seeded
-random identity generation and a linear-algebra ideal membership
-checker for truncated quotients support the regression corpus.
+oracle that is slow but shares no search code with the decision logic;
+cross_validate compares its outcome with a verdict.  Tabled witnesses
+are re-verified by exhaustive evaluation; presented witnesses have no
+finite table, so they are re-checked with the decision path's own
+specialization scan (presented_scan_check).  Seeded random identity
+generation and a linear-algebra ideal membership checker for truncated
+quotients support the regression corpus.
 """
 
 import hashlib
@@ -13,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decide import IdentitySet, PresentedWitness, Verdict
+from .commalg import _primes_upto
+from .decide import IdentitySet, PresentedWitness, presented_scan_check
 from .errors import ResourceLimitError
 from .finitering import B, MinRing, Mat, TruncFree, Up, make_ring
 from .freealg import NcPoly, format_ncpoly
@@ -32,14 +36,6 @@ class SearchResult:
     family: object = None      # first verified witness family, or None
     ring: object = None
     skipped: list = field(default_factory=list)
-
-
-def _primes_upto(n):
-    out = []
-    for m in range(2, n + 1):
-        if all(m % q for q in out):
-            out.append(m)
-    return out
 
 
 def _families(bounds):
@@ -113,18 +109,18 @@ class CrossReport:
 def cross_validate(ids, verdict, bounds=None):
     """Compare a verdict against the brute-force oracle.
 
-    A Witness is re-verified directly; Forces is checked against the
-    bounded search coming up empty; a resource-limited verdict is
-    recorded without assertion.
+    A Witness is re-verified directly (a presented one by the
+    specialization scan over its recorded scan length); Forces is
+    checked against the bounded search coming up empty; a
+    resource-limited verdict is recorded without assertion.
     """
     bounds = bounds or SearchBounds()
     digest = identity_digest(ids)
     if verdict.kind == "witness":
         w = verdict.witness
         if isinstance(w, PresentedWitness):
-            comm = NcPoly({(1, 2): 1, (2, 1): -1})
-            ok = not w.basis.normal_form(comm).is_zero()
-            detail = "presented witness: commutator survives reduction"
+            ok = presented_scan_check(ids, w.basis, w.scan_length)
+            detail = "presented witness re-checked by specialization scan"
         else:
             ok = all(w.is_identity(P, eval_cap=bounds.eval_cap) is True
                      for P in ids.polys)

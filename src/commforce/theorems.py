@@ -13,18 +13,10 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd
 
-from .commalg import (CPoly, field_ideal_normal_form, trial_factor, univ,
-                      univariate_membership)
+from .commalg import (CPoly, _primes_upto, field_ideal_normal_form,
+                      trial_factor, univ, univariate_membership)
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
-
-
-def _primes_upto(n):
-    out = []
-    for m in range(2, n + 1):
-        if all(m % q for q in out):
-            out.append(m)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +270,10 @@ def min_ring_certify(P, p):
     Peels the commutative image along the field ideal twice, reduces
     the remaining commutator part, and checks each extracted
     coefficient; every failure converts into an explicit nonvanishing
-    ring substitution.
+    ring substitution.  Raises ValueError unless p is prime.
     """
+    if trial_factor(p) != [(p, 1)]:
+        raise ValueError("p = %d is not a prime" % p)
     vs = P.variables()
     s = max(vs) if vs else 1
     ring = make_ring(MinRing(p))

@@ -158,3 +158,29 @@ def test_cli_resource_limit_exit_3(tmp_path, capsys):
     code = main(["decide", f, "--no-fast-path", "--max-eval", "4", "--json"])
     capsys.readouterr()
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--ring", '{"family":"B","p":2,"n":1,"l":1}', "%(ids)s"],
+    ["check", "--ring", "[1]", "%(ids)s"],
+    ["power", "--set", "1"],
+    ["freshman", "--set", "1"],
+    ["verify", "%(notjson)s", "%(ids)s"],
+    ["verify", "%(noring)s", "%(ids)s"],
+])
+def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
+    paths = {"ids": write(tmp_path, "c.ids", "vars X Y\nid [X,Y]\n"),
+             "notjson": write(tmp_path, "w.json", "not json\n"),
+             "noring": write(tmp_path, "r.json", '{"schema": 1}\n')}
+    assert main([a % paths for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("p", ["1", "4"])
+def test_cli_certify_rejects_non_prime(tmp_path, capsys, p):
+    f = write(tmp_path, "d.ids", "vars X Y\nid 4*X*Y\n")
+    with pytest.raises(SystemExit) as e:
+        main(["certify", "--p", p, f])
+    assert e.value.code == 2
+    assert "error: argument --p: %s is not a prime" % p in \
+        capsys.readouterr().err

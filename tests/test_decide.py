@@ -134,3 +134,23 @@ def test_eval_cap_surfaces_as_limit():
     opts = DecideOptions(eval_cap=4, fast_paths=False)
     with pytest.raises(ResourceLimitError):
         decide_Up(ids(SEXTIC), opts)
+
+
+def test_presented_scan_limits():
+    # (X^2 + X)^2: building the witness takes two completion rounds and
+    # its specialization count carries across them; a re-check starts
+    # from zero but first meets the cap on the assignment space
+    sq = ids(X ** 4 + (X ** 3).scale(2) + X ** 2, nvars=1)
+    p, w = decide_Ap(sq)
+    tight = DecideOptions(max_specializations=50)
+    with pytest.raises(ResourceLimitError) as e:
+        decide_Ap(sq, tight)
+    assert (e.value.stage, e.value.limit, e.value.detail) == \
+        ("specialization-scan", 50, "p=2 a=2")
+    with pytest.raises(ResourceLimitError) as e:
+        presented_scan_check(sq, w.basis, w.scan_length, tight)
+    assert (e.value.stage, e.value.limit, e.value.detail) == \
+        ("specialization-space", 50, "assignment classes")
+    roomy = DecideOptions(max_specializations=1000)
+    assert decide_Ap(sq, roomy) is not None
+    assert presented_scan_check(sq, w.basis, w.scan_length, roomy)

@@ -1,7 +1,7 @@
 import json
 import os
 
-from commforce.decide import IdentitySet, decide_all
+from commforce.decide import IdentitySet, Verdict, decide_all, decide_Ap
 from commforce.finitering import TruncFree, Up
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import (RandomProfile, SearchBounds, cross_validate,
@@ -81,3 +81,16 @@ def test_truncated_membership_basics():
     assert truncated_ideal_membership(X.scale(2), [X], 3, 2)
     assert truncated_ideal_membership(commutator(X, Y),
                                       [X * Y + Y * X, (X * Y).scale(2)], 3, 3)
+
+
+def test_cross_validate_rechecks_presented_witness():
+    # the (X^2 + X)^2 witness survives the commutator test but does not
+    # satisfy X^2 = X, so it must not count as agreeing for that set
+    sq = IdentitySet(1, (X ** 4 + (X ** 3).scale(2) + X ** 2,))
+    p, w = decide_Ap(sq)
+    verdict = Verdict("witness", prime=p, family=w.family, witness=w)
+    assert cross_validate(sq, verdict).agree
+    for P in (X ** 2 - X, X.scale(2), X ** 3, X ** 4):
+        rep = cross_validate(IdentitySet(1, (P,)), verdict)
+        assert not rep.agree
+        assert rep.detail == "presented witness re-checked by specialization scan"

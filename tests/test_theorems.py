@@ -129,3 +129,9 @@ def test_certify_matches_exhaustive_small_sample():
         assert isinstance(out, MinRingCertificate) == holds
         if not holds:
             assert any(ring2.eval(P, out.arguments))
+
+
+@pytest.mark.parametrize("p", [1, 4])
+def test_certify_rejects_non_prime(p):
+    with pytest.raises(ValueError):
+        min_ring_certify(X.scale(4) * Y, p)
