@@ -11,14 +11,15 @@ Identity files use a small line-based grammar::
 summary by default or a stable JSON document with --json; exit status
 is 0 for a verdict, 1 when ``verify`` rejects the witness, 2 for parse
 or usage errors and any other malformed input (ring or witness JSON,
-``--set``, a non-prime ``--p``), 3 when a resource limit was hit.
+presented witness fields, ``--set``, a ``--p`` that is not a prime or
+too large to test), 3 when a resource limit was hit.
 """
 
 import argparse
 import json
 import sys
 
-from .commalg import trial_factor
+from .commalg import is_prime
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
                      _closed_form_verdict, decide_all, presented_scan_check)
 from .errors import ResourceLimitError
@@ -319,9 +320,12 @@ def _options(args):
 def _prime(text):
     """argparse type of ``certify --p``: the prime of the minimal ring."""
     p = int(text)
-    if trial_factor(p) != [(p, 1)]:
-        raise argparse.ArgumentTypeError("%s is not a prime" % text)
-    return p
+    try:
+        if is_prime(p):
+            return p
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    raise argparse.ArgumentTypeError("%s is not a prime" % text)
 
 
 def _load_ids(path):
@@ -443,6 +447,28 @@ def _cmd_certify(args):
     return 0
 
 
+def _check_presented(ring_doc, scan_length):
+    """Field types of a presented witness document: a list of strings
+    for ``generators``, an int ``scan_length`` >= 0, a prime ``p`` and an
+    int ``a`` >= 1."""
+    def bad(msg):
+        raise ParseError(1, 1, "bad presented witness: %s" % msg)
+
+    gens = ring_doc["generators"]
+    if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+        bad("generators must be a list of strings")
+    if type(scan_length) is not int or scan_length < 0:
+        bad("scan_length must be an int >= 0")
+    p, a = ring_doc["p"], ring_doc["a"]
+    try:
+        if type(p) is not int or not is_prime(p):
+            bad("p must be a prime")
+    except ValueError as err:
+        bad(err)
+    if type(a) is not int or a < 1:
+        bad("a must be an int >= 1")
+
+
 def _cmd_verify(args):
     with open(args.witness) as fh:
         try:
@@ -454,10 +480,12 @@ def _cmd_verify(args):
     fam, ring = _family(ring_doc)
     opts = _options(args)
     if ring is None:
+        scan_length = wdoc.get("scan_length", 3)
+        _check_presented(ring_doc, scan_length)
         varmap = {"X": 1, "Y": 2}
         gens = [parse_expression(g, varmap) for g in fam.generators]
         basis = complete(gens, fam.p, fam.a, opts.gsb_limits)
-        ok = presented_scan_check(ids, basis, wdoc.get("scan_length", 3), opts)
+        ok = presented_scan_check(ids, basis, scan_length, opts)
     else:
         ok = (ring.is_commutative() is not True
               and all(ring.is_identity(P, eval_cap=opts.eval_cap) is True

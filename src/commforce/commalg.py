@@ -307,6 +307,15 @@ def trial_factor(N, step_budget=10 ** 7):
     return sorted(out)
 
 
+def is_prime(n):
+    """True iff the int n is a prime.  Raises ValueError when n is too
+    large for ``trial_factor`` to settle."""
+    try:
+        return trial_factor(n) == [(n, 1)]
+    except OverflowError:
+        raise ValueError("%d is too large to test for primality" % n)
+
+
 def _primes_upto(n):
     """The primes up to n, ascending (sieve of Eratosthenes)."""
     if n < 2:

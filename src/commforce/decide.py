@@ -21,8 +21,7 @@ from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
                       reduce_Ap, reduce_caseI, deglex_key)
-from .gsb import (CompletionLimits, complete, _occurrences,
-                  is_commutative_presentation)
+from .gsb import CompletionLimits, complete, is_commutative_presentation
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +412,7 @@ def _normal_words(basis, at, p, a, cap):
     while frontier:
         nxt = []
         for w in frontier:
-            e = a
-            for h in basis.elements:
-                if _occurrences(h.lead_word, w):
-                    e = min(e, h.lead_exp)
+            e = min([h.lead_exp for h, _ in basis.reducers(w)], default=a)
             if e == 0:
                 continue
             out.append((w, p ** e))

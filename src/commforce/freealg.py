@@ -145,21 +145,30 @@ class NcPoly:
         return g
 
     def substitute(self, assignment):
-        """Image under X_i -> assignment[i] (an NcPoly or int)."""
+        """Image under X_i -> assignment[i] (an NcPoly or int), expanded
+        into one term dict."""
         imgs = {}
         for i, val in assignment.items():
             if isinstance(val, int):
                 val = NcPoly.const(val, self.modulus)
             imgs[i] = val
-        out = NcPoly.zero(self.modulus)
+        t = {}
         for w, c in self.terms.items():
-            term = NcPoly.const(c, self.modulus)
+            term = {(): c}
             for letter in w:
                 if letter not in imgs:
                     raise KeyError("variable X_%d not assigned" % letter)
-                term = term * imgs[letter]
-            out = out + term
-        return out
+                img = imgs[letter]
+                self._check(img)
+                nxt = {}
+                for w1, c1 in term.items():
+                    for w2, c2 in img.terms.items():
+                        u = w1 + w2
+                        nxt[u] = nxt.get(u, 0) + c1 * c2
+                term = nxt
+            for u, v in term.items():
+                t[u] = t.get(u, 0) + v
+        return NcPoly(t, self.modulus)
 
     def __eq__(self, other):
         if not isinstance(other, NcPoly):

@@ -8,10 +8,22 @@ completion closes a generating set under overlap and inclusion
 compositions of initial words plus the coefficient compositions that
 kill a p-power initial coefficient, yielding normal forms that decide
 ideal membership.
+
+Reduction takes the terms greatest first from a heap keyed by deg-lex
+order, with lazy deletion of cancelled words; every word a reduction
+step adds is smaller than the word it reduces, so the order is that of
+a full rescan.  A term c*w is reduced by the first basis element, in
+basis order, whose leading coefficient p^e is at most c and whose
+initial word occurs in w, at its first occurrence.  Initial words are
+encoded as strings so that occurrence is a substring search.  A
+GsBasis is fixed once built, so it memoizes per word the elements
+whose initial word occurs in it; the completion, whose basis changes
+at every step, scans its basis in order instead.
 """
 
 import heapq
 from dataclasses import dataclass
+from operator import neg
 
 from .commalg import _vp
 from .errors import ResourceLimitError
@@ -27,9 +39,12 @@ class CompletionLimits:
 
 class GsPoly:
     """Normalized nonzero polynomial over Z/p^a with cached initial
-    term: the deg-lex greatest word, leading coefficient p^e."""
+    term: the deg-lex greatest word, leading coefficient p^e.  Also
+    cached: ``lead_pow`` = p^e, ``lead_key`` (the encoded initial word)
+    and ``tail`` (the other terms)."""
 
-    __slots__ = ("terms", "p", "a", "lead_word", "lead_exp")
+    __slots__ = ("terms", "p", "a", "lead_word", "lead_exp", "lead_pow",
+                 "lead_key", "tail")
 
     def __init__(self, terms, p, a):
         m = p ** a
@@ -51,6 +66,9 @@ class GsPoly:
         self.a = a
         self.lead_word = lead
         self.lead_exp = e
+        self.lead_pow = p ** e
+        self.lead_key = _encode(lead)
+        self.tail = tuple(self.terms.items())[:-1]
 
     def as_ncpoly(self):
         return NcPoly(dict(self.terms), self.p ** self.a)
@@ -61,7 +79,13 @@ class GsPoly:
 
 def initial_term(f):
     """(coefficient p^e, word) of the initial term."""
-    return (f.p ** f.lead_exp, f.lead_word)
+    return (f.lead_pow, f.lead_word)
+
+
+def _encode(word):
+    """Search key of a word: one character per letter, so a substring
+    found at index i is an occurrence at word position i."""
+    return "".join(map(chr, word))
 
 
 def _occurrences(needle, haystack):
@@ -80,52 +104,110 @@ def _sub_scaled(terms, factor, left, poly, right, m):
             del terms[key]
 
 
-def reduce_terms(terms, basis, p, a):
-    """Fully reduce a term dict against a list of GsPoly; the result's
-    coefficients are remainders modulo the applicable p-powers and its
-    words contain no reducible initial word with a large enough
-    coefficient."""
-    m = p ** a
-    work = {w: c % m for w, c in terms.items() if c % m}
+def _reduce(terms, first_reducer, m):
+    """Fully reduce a term dict modulo m, greatest word first.
+    ``first_reducer(w, c)`` returns the (element, position) that
+    reduces c*w, or None when c*w is irreducible."""
+    heappush, heappop = heapq.heappush, heapq.heappop
+    work = {}
+    for w, c in terms.items():
+        c %= m
+        if c:
+            work[w] = c
+    # min-heap on (-length, negated letters) pops the deg-lex greatest
+    heap = [(-len(w), tuple(map(neg, w)), w) for w in work]
+    heapq.heapify(heap)
     out = {}
-    while work:
-        w = max(work, key=deglex_key)
-        c = work.pop(w)
-        hit = None
-        for h in basis:
-            if c // (p ** h.lead_exp) == 0:
-                continue
-            occ = _occurrences(h.lead_word, w)
-            if occ:
-                hit = (h, occ[0])
+    while heap:
+        w = heappop(heap)[2]
+        c = work.pop(w, 0)
+        while c:
+            hit = first_reducer(w, c)
+            if hit is None:
+                out[w] = c
                 break
-        if hit is None:
-            out[w] = c
-            continue
-        h, pos = hit
-        work[w] = c
-        factor = c // (p ** h.lead_exp)
-        left = w[:pos]
-        right = w[pos + len(h.lead_word):]
-        _sub_scaled(work, factor, left, h.terms, right, m)
+            h, pos = hit
+            factor = c // h.lead_pow
+            c -= factor * h.lead_pow
+            left = w[:pos]
+            right = w[pos + len(h.lead_word):]
+            for hw, hc in h.tail:
+                key = left + hw + right
+                v = work.get(key)
+                if v is None:
+                    v = -factor * hc % m
+                    if v:
+                        work[key] = v
+                        heappush(heap, (-len(key), tuple(map(neg, key)), key))
+                else:
+                    v = (v - factor * hc) % m
+                    if v:
+                        work[key] = v
+                    else:
+                        del work[key]
     return out
 
 
+def reduce_terms(terms, basis, p, a):
+    """Fully reduce a term dict against a sequence of GsPoly; the
+    result's coefficients are remainders modulo the applicable p-powers
+    and its words contain no reducible initial word with a large enough
+    coefficient."""
+    def first_reducer(w, c):
+        key = None
+        for h in basis:
+            if h.lead_pow <= c:
+                if key is None:
+                    key = _encode(w)
+                pos = key.find(h.lead_key)
+                if pos >= 0:
+                    return h, pos
+        return None
+
+    return _reduce(terms, first_reducer, p ** a)
+
+
 class GsBasis:
-    """A (possibly completed) basis with its completion step count."""
+    """A (possibly completed) basis with its completion step count.
+    Fixed once built: ``elements`` is a tuple and reducer lookups are
+    memoized per word."""
 
     def __init__(self, elements, p, a, complete, steps=0):
-        self.elements = list(elements)
+        self.elements = tuple(elements)
         self.p = p
         self.a = a
         self.complete = complete
         self.steps = steps
+        self._reducers = {}
+
+    def reducers(self, word):
+        """(element, first position) of each element whose initial word
+        occurs in ``word``, in basis order, up to the first element with
+        leading coefficient 1, after which none is ever chosen."""
+        hits = self._reducers.get(word)
+        if hits is None:
+            key = _encode(word)
+            hits = []
+            for h in self.elements:
+                pos = key.find(h.lead_key)
+                if pos >= 0:
+                    hits.append((h, pos))
+                    if h.lead_exp == 0:
+                        break
+            hits = self._reducers[word] = tuple(hits)
+        return hits
+
+    def _first_reducer(self, w, c):
+        for h, pos in self.reducers(w):
+            if h.lead_pow <= c:
+                return h, pos
+        return None
 
     def normal_form(self, f):
         """Normal form of an NcPoly (or GsPoly) as an NcPoly mod p^a;
         zero iff f lies in the ideal when the basis is complete."""
-        red = reduce_terms(f.terms, self.elements, self.p, self.a)
-        return NcPoly(red, self.p ** self.a)
+        m = self.p ** self.a
+        return NcPoly(_reduce(f.terms, self._first_reducer, m), m)
 
     def dump(self):
         """One element per line in canonical order (stable debug form)."""
@@ -209,8 +291,7 @@ def complete(generators, p, a, limits=None):
             fail("max_degree", limits.max_degree)
         keep = []
         for b in basis:
-            if (g.lead_exp <= b.lead_exp
-                    and _occurrences(g.lead_word, b.lead_word)):
+            if g.lead_exp <= b.lead_exp and g.lead_key in b.lead_key:
                 push(dict(b.terms))
             else:
                 keep.append(b)

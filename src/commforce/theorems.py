@@ -14,7 +14,7 @@ from itertools import product
 from math import comb, gcd
 
 from .commalg import (CPoly, _primes_upto, field_ideal_normal_form,
-                      trial_factor, univ, univariate_membership)
+                      is_prime, trial_factor, univ, univariate_membership)
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
 
@@ -272,7 +272,7 @@ def min_ring_certify(P, p):
     coefficient; every failure converts into an explicit nonvanishing
     ring substitution.  Raises ValueError unless p is prime.
     """
-    if trial_factor(p) != [(p, 1)]:
+    if not is_prime(p):
         raise ValueError("p = %d is not a prime" % p)
     vs = P.variables()
     s = max(vs) if vs else 1

@@ -176,6 +176,33 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("ring,extra", [
+    ({"family": "Presented", "p": 2, "a": 1, "generators": [1]}, {}),
+    ({"family": "Presented", "p": 2, "a": 1, "generators": ["Y*X"]},
+     {"scan_length": "3"}),
+    ({"family": "Presented", "p": 2, "a": 1, "generators": "Y*X"}, {}),
+    ({"family": "Presented", "p": 4, "a": 1, "generators": ["Y*X"]}, {}),
+    ({"family": "Presented", "p": 2, "a": 0, "generators": ["Y*X"]}, {}),
+    ({"family": "Presented", "p": 2, "a": 1, "generators": ["Y*X"]},
+     {"scan_length": -1}),
+])
+def test_cli_verify_rejects_malformed_presented_witness(tmp_path, capsys,
+                                                        ring, extra):
+    ids = write(tmp_path, "c.ids", "vars X\nid X^2\n")
+    wit = write(tmp_path, "w.json", json.dumps(dict(ring=ring, **extra)))
+    assert main(["verify", wit, ids]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_certify_huge_p_exit_2(tmp_path, capsys):
+    # 2^61 - 1 is prime but beyond the trial-division budget
+    f = write(tmp_path, "d.ids", "vars X Y\nid 4*X*Y\n")
+    with pytest.raises(SystemExit) as e:
+        main(["certify", "--p", "2305843009213693951", f])
+    assert e.value.code == 2
+    assert "too large to test for primality" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p", ["1", "4"])
 def test_cli_certify_rejects_non_prime(tmp_path, capsys, p):
     f = write(tmp_path, "d.ids", "vars X Y\nid 4*X*Y\n")

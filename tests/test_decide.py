@@ -154,3 +154,29 @@ def test_presented_scan_limits():
     roomy = DecideOptions(max_specializations=1000)
     assert decide_Ap(sq, roomy) is not None
     assert presented_scan_check(sq, w.basis, w.scan_length, roomy)
+
+
+SQUARE_BASIS = "X1^2\nX1*X2 + X2*X1\nX2^2"
+
+
+@pytest.mark.parametrize("P,steps,scan_length,dump", [
+    ((X ** 2 + X) ** 2, 43, 4, SQUARE_BASIS),
+    ((X ** 3 - X) ** 2, 18, 4, SQUARE_BASIS),
+    ((X ** 3 + X) ** 2, 18, 4, SQUARE_BASIS),
+    ((X ** 2 - X).scale(4), 54, 3,
+     "4*X1\n"
+     "4*X2\n"
+     "6*X1*X2 + 2*X2*X1\n"
+     "4*X1*X2 + 3*X1^2*X2 + X1*X2*X1\n"
+     "4*X1*X2 + 3*X1^2*X2 + X2*X1^2\n"
+     "4*X1*X2 + 3*X1*X2^2 + X2*X1*X2\n"
+     "4*X1*X2 + 2*X1*X2^2 + X2*X1*X2 + X2^2*X1"),
+])
+def test_presented_witness_pinned(P, steps, scan_length, dump):
+    # the completed basis, its step count and the scan length of each
+    # presented witness are pinned: a faster reducer must reproduce them
+    p, w = decide_Ap(ids(P, nvars=1))
+    assert p == 2
+    assert isinstance(w, PresentedWitness)
+    assert (w.basis.steps, w.scan_length) == (steps, scan_length)
+    assert w.basis.dump() == dump

@@ -49,6 +49,33 @@ def test_substitute_is_multiplicative(a, b):
     assert (a + b).substitute(sub) == a.substitute(sub) + b.substitute(sub)
 
 
+@given(ncpolys(3), ncpolys(3), st.integers(-5, 5),
+       st.sampled_from([None, 4, 9]))
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_product_of_images(P, A, c, m):
+    # reference: c_w * img(w_1) * ... * img(w_k) summed over the terms,
+    # reducing mod m after every product
+    P, A = P.mod(m), A.mod(m)
+    sub = {1: A, 2: c}
+    imgs = {1: A, 2: NcPoly.const(c, m)}
+    want = NcPoly.zero(m)
+    for w, k in P.terms.items():
+        term = NcPoly.const(k, m)
+        for letter in w:
+            term = term * imgs[letter]
+        want = want + term
+    got = P.substitute(sub)
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+
+
+def test_substitute_checks_assignment():
+    with pytest.raises(KeyError):
+        (X * Y).substitute({1: X})
+    with pytest.raises(ValueError):
+        (X * Y).substitute({1: X.mod(4), 2: Y})
+
+
 @given(ncpolys())
 @settings(max_examples=60, deadline=None)
 def test_bar_preserves_commutative_image(P):

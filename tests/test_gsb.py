@@ -5,8 +5,9 @@ import pytest
 
 from commforce.errors import ResourceLimitError
 from commforce.freealg import NcPoly, commutator
-from commforce.gsb import (CompletionLimits, GsPoly, complete, initial_term,
-                           is_commutative_presentation)
+from commforce.gsb import (CompletionLimits, GsBasis, GsPoly, complete,
+                           initial_term, is_commutative_presentation,
+                           reduce_terms)
 from commforce.oracle import truncated_ideal_membership
 
 X = NcPoly.var(1)
@@ -95,3 +96,92 @@ def test_membership_agrees_with_truncated_oracle(p):
         assert basis.normal_form(f).is_zero() == member
         hits += member
     assert hits > 0
+
+
+def _linear_reduce_terms(terms, basis, p, a):
+    """Reference reducer: rescan the work dict for its deg-lex greatest
+    word and the basis for the first element whose p-power lead
+    coefficient fits and whose initial word occurs, at its first
+    occurrence."""
+    def occurrences(needle, haystack):
+        n = len(needle)
+        return [i for i in range(len(haystack) - n + 1)
+                if haystack[i:i + n] == needle]
+
+    m = p ** a
+    work = {w: c % m for w, c in terms.items() if c % m}
+    out = {}
+    while work:
+        w = max(work, key=lambda u: (len(u), u))
+        c = work.pop(w)
+        hit = None
+        for h in basis:
+            if c // (p ** h.lead_exp) == 0:
+                continue
+            occ = occurrences(h.lead_word, w)
+            if occ:
+                hit = (h, occ[0])
+                break
+        if hit is None:
+            out[w] = c
+            continue
+        h, pos = hit
+        work[w] = c
+        factor = c // (p ** h.lead_exp)
+        left, right = w[:pos], w[pos + len(h.lead_word):]
+        for hw, hc in h.terms.items():
+            key = left + hw + right
+            v = (work.get(key, 0) - factor * hc) % m
+            if v:
+                work[key] = v
+            elif key in work:
+                del work[key]
+    return out
+
+
+def random_terms(rng, letters, max_len, m):
+    return {tuple(rng.choice(letters) for _ in range(rng.randrange(max_len + 1))):
+            rng.randrange(1, m) for _ in range(rng.randrange(1, 8))}
+
+
+def assert_reducers_agree(rng, elements, p, a, letters, trials=30):
+    m = p ** a
+    basis = GsBasis(elements, p, a, False)
+    for _ in range(trials):
+        terms = random_terms(rng, letters, 7, m)
+        want = _linear_reduce_terms(terms, elements, p, a)
+        got = reduce_terms(terms, elements, p, a)
+        assert list(got.items()) == list(want.items())
+        assert basis.normal_form(NcPoly(terms)) == NcPoly(want, m)
+
+
+@pytest.mark.parametrize("p,a", [(2, 2), (3, 2), (5, 1)])
+def test_reducer_matches_linear_scan(p, a):
+    # random term dicts against incomplete bases (random generators in
+    # random order) and against their completions with every length-4
+    # word added; lead coefficients p^e with e > 0 occur over Z/p^2
+    rng = random.Random(10 * p + a)
+    m = p ** a
+    trunc = [NcPoly.from_word(w) for w in itertools.product((1, 2), repeat=4)]
+    seen_exp = set()
+    for _ in range(12):
+        gens = [NcPoly(random_terms(rng, (1, 2), 3, m), m)
+                for _ in range(rng.randrange(1, 4))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        incomplete = [GsPoly(g.terms, p, a) for g in gens]
+        basis = complete(gens + trunc, p, a)
+        for elements in (incomplete, list(basis.elements)):
+            seen_exp.update(g.lead_exp for g in elements)
+            assert_reducers_agree(rng, elements, p, a, (1, 2))
+    assert seen_exp == set(range(a))
+
+
+def test_reducer_handles_variable_index_above_255():
+    rng = random.Random(7)
+    big, other = NcPoly.var(300), NcPoly.var(257)
+    gens = [big * X - X, (big * big).scale(2) + other, other * X * big]
+    elements = [GsPoly(g.terms, 2, 2) for g in gens]
+    assert_reducers_agree(rng, elements, 2, 2, (1, 257, 300), trials=60)
+    assert reduce_terms({(300, 300, 1): 2}, elements, 2, 2) == {(1,): 2}

@@ -135,3 +135,8 @@ def test_certify_matches_exhaustive_small_sample():
 def test_certify_rejects_non_prime(p):
     with pytest.raises(ValueError):
         min_ring_certify(X.scale(4) * Y, p)
+
+
+def test_certify_rejects_prime_beyond_factoring_budget():
+    with pytest.raises(ValueError, match="too large"):
+        min_ring_certify(X.scale(4) * Y, 2 ** 61 - 1)
