@@ -6,7 +6,9 @@ cover the witness families used by the decision procedures: 2x2 upper
 triangular matrices over F_p, the Frobenius-twisted rings over F_{p^n},
 matrix rings, truncated free algebras and the 4-dimensional minimal
 ring for multilinear identities.  Identity checking over all tuples is
-batched with numpy.
+batched with numpy and runs in lexicographic order, in batches that grow
+from 256 to 65536 tuples, so a failing identity stops after the batch
+that holds its first counterexample.
 """
 
 from dataclasses import dataclass
@@ -16,7 +18,9 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# tuples evaluated per numpy batch in TabledRing.is_identity
+# TabledRing.is_identity evaluates _FIRST_BATCH tuples first, then
+# doubles the batch after each one up to at most _CHUNK tuples
+_FIRST_BATCH = 1 << 8
 _CHUNK = 1 << 16
 
 
@@ -252,6 +256,16 @@ class TabledRing:
     def basis_element(self, i):
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
+    def elements(self):
+        """All ring elements as a (size, dim) array; row i is
+        element_from_index(i)."""
+        rest = np.arange(self.size, dtype=np.int64)
+        elems = np.empty((self.size, self.dim), dtype=np.int64)
+        for i in range(self.dim - 1, -1, -1):
+            elems[:, i] = rest % self.char
+            rest //= self.char
+        return elems
+
     def element_from_index(self, idx):
         """Mixed-radix decode; index order equals lexicographic order on
         coefficient vectors."""
@@ -307,15 +321,10 @@ class TabledRing:
         if total > eval_cap:
             raise ResourceLimitError("exhaustive-eval", eval_cap,
                                      "%d tuples on %r" % (total, self.family))
-        # all ring elements as rows, in index (= lexicographic) order
-        digits = np.arange(self.size, dtype=np.int64)
-        elems = np.empty((self.size, self.dim), dtype=np.int64)
-        rest = digits
-        for i in range(self.dim - 1, -1, -1):
-            elems[:, i] = rest % self.char
-            rest = rest // self.char
-        for lo in range(0, total, _CHUNK):
-            hi = min(lo + _CHUNK, total)
+        elems = self.elements()
+        lo, step = 0, _FIRST_BATCH
+        while lo < total:
+            hi = min(lo + step, total)
             flat = np.arange(lo, hi, dtype=np.int64)
             rest = flat
             idxs = []
@@ -333,6 +342,7 @@ class TabledRing:
                     tup.append(self.element_from_index(k % self.size))
                     k //= self.size
                 return tuple(reversed(tup))
+            lo, step = hi, min(2 * step, _CHUNK)
         return True
 
     def is_commutative(self):

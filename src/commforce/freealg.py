@@ -34,7 +34,10 @@ class NcPoly:
 
     def __init__(self, terms=None, modulus=None):
         t = _canon(terms or {}, modulus)
-        object.__setattr__(self, "terms", dict(sorted(t.items(), key=lambda kv: deglex_key(kv[0]))))
+        if len(t) > 1:
+            # lexicographic, then a stable sort by length: deg-lex order
+            t = {w: t[w] for w in sorted(sorted(t), key=len)}
+        object.__setattr__(self, "terms", t)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "_hash", None)
 

@@ -108,9 +108,7 @@ def _central_verify(ring, Q):
     """Exhaustively check that Q(x) is central for every ring element,
     batching over the whole ring at once."""
     import numpy as np
-    col = np.array([ring.element_from_index(i) for i in range(ring.size)],
-                   dtype=np.int64)
-    vals = ring.eval_batch(Q, [col])
+    vals = ring.eval_batch(Q, [ring.elements()])
     T = ring.table
     left = np.einsum("nj,ijk->nik", vals, T) % ring.char
     right = np.einsum("nj,jik->nik", vals, T) % ring.char

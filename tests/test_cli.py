@@ -115,6 +115,23 @@ def test_cli_check_and_certify(tmp_path, capsys):
     assert doc["results"][1]["stage"] == "commutator"
 
 
+def test_cli_check_counterexample_pinned(tmp_path, capsys):
+    # the first failure is tuple 177390 in scan order, past several
+    # batch boundaries and past the first 65536 tuples
+    f = write(tmp_path, "xy.ids", "vars X Y\nid [X,Y]\n")
+    ring = '{"family":"TruncFree","p":3,"k":3,"relations":[]}'
+    assert main(["check", "--ring", ring, f]) == 0
+    assert capsys.readouterr().out == (
+        "X1*X2 - X2*X1: fails at "
+        "[[0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]\n")
+    assert main(["check", "--ring", ring, f, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_hold"] is False
+    assert doc["results"] == [{
+        "identity": "X1*X2 - X2*X1", "holds": False,
+        "counterexample": [[0, 0, 1, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0, 0]]}]
+
+
 def test_cli_verify_round_trip(tmp_path, capsys):
     f = write(tmp_path, "a.ids", SEXTIC_FILE)
     main(["decide", f, "--json"])

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
+from commforce import finitering
 from commforce.errors import ResourceLimitError
 from commforce.finitering import (B, Fq, Mat, MinRing, Presented, TruncFree,
                                   Up, family_from_json, family_json,
-                                  least_irreducible, make_ring)
+                                  TabledRing, least_irreducible, make_ring)
 from commforce.freealg import NcPoly, commutator
 
 X = NcPoly.var(1)
@@ -93,3 +95,107 @@ def test_truncfree_with_relations():
     # killing u^2, v^2, uv but keeping vu matches the minimal ring sizes
     ring = make_ring(TruncFree(2, 3, ((1, 1), (2, 2), (1, 2))))
     assert ring.size == 2 ** 4
+
+
+def _fixed_chunk_scan(ring, P):
+    # reference scan in fixed 65536-tuple batches with the element table
+    # built inline: is_identity must return the same result, True or the
+    # first failing tuple, whatever its batch schedule
+    chunk = 1 << 16
+    vs = P.variables()
+    s = max(vs) if vs else 1
+    total = ring.size ** s
+    digits = np.arange(ring.size, dtype=np.int64)
+    elems = np.empty((ring.size, ring.dim), dtype=np.int64)
+    rest = digits
+    for i in range(ring.dim - 1, -1, -1):
+        elems[:, i] = rest % ring.char
+        rest = rest // ring.char
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        flat = np.arange(lo, hi, dtype=np.int64)
+        rest = flat
+        idxs = []
+        for v in range(s - 1, -1, -1):
+            idxs.append(rest % ring.size)
+            rest = rest // ring.size
+        idxs.reverse()
+        vals = ring.eval_batch(P, [elems[ix] for ix in idxs])
+        bad = np.nonzero(vals.any(axis=1))[0]
+        if bad.size:
+            k = int(flat[bad[0]])
+            tup = []
+            for v in range(s - 1, -1, -1):
+                tup.append(ring.element_from_index(k % ring.size))
+                k //= ring.size
+            return tuple(reversed(tup))
+    return True
+
+
+C = commutator
+SCAN_CASES = [
+    (Up(2), X * X - X),
+    (Up(2), C(X, Y) * C(X, Y)),
+    (Up(2), C(X, Y) * Z * C(X, Y)),
+    (Up(5), X ** 5 - X),
+    (Up(5), C(X, Y) * C(X, Y)),
+    (Up(5), X * C(Y, Z) - C(Y, Z) * X),          # first failure at 15755
+    (B(2, 3, 1), X ** 8 - X),
+    (B(2, 3, 1), C(X, Y)),
+    (B(2, 3, 1), C(X, Y) * C(X, Y)),
+    (B(2, 3, 1), X * C(Y, Z) - C(Y, Z) * X),
+    (Mat(2, 3, 1), X ** 9 - X),
+    (Mat(2, 3, 1), C(X, Y)),
+    (Mat(2, 3, 1), C(C(X, Y) * C(X, Y), X)),     # Hall identity holds
+    (Mat(2, 3, 1), X * Y * Z - Z * Y * X),       # first failure at 6645
+    (TruncFree(3, 3), X ** 3 - X),
+    (TruncFree(3, 3), X ** 9 - X ** 3),
+    (TruncFree(3, 3), C(X, Y)),                  # first failure at 177390
+    (MinRing(3), C(X, Y)),
+    (MinRing(3), C(X, Y) * C(X, Y)),
+    (MinRing(3), X * C(Y, Z)),                   # first failure at 177399
+]
+
+
+@pytest.mark.parametrize("fam,P", SCAN_CASES, ids=[
+    "%r-%d" % (fam, i) for i, (fam, _) in enumerate(SCAN_CASES)])
+def test_is_identity_matches_fixed_chunk_scan(fam, P):
+    ring = make_ring(fam)
+    assert ring.is_identity(P) == _fixed_chunk_scan(ring, P)
+
+
+def test_elements_match_element_from_index():
+    ring = make_ring(TruncFree(2, 3))
+    assert [tuple(map(int, row)) for row in ring.elements()] == [
+        ring.element_from_index(i) for i in range(ring.size)]
+
+
+def _record_batches(monkeypatch):
+    rows = []
+    eval_batch = TabledRing.eval_batch
+
+    def recording(self, P, columns):
+        rows.append(columns[0].shape[0])
+        return eval_batch(self, P, columns)
+
+    monkeypatch.setattr(TabledRing, "eval_batch", recording)
+    return rows
+
+
+def test_is_identity_batches_grow_to_chunk(monkeypatch):
+    rows = _record_batches(monkeypatch)
+    ring = make_ring(MinRing(3))
+    assert ring.is_identity(C(X, Y) * C(X, Y)) is True
+    assert max(rows) <= finitering._CHUNK
+    assert sum(rows) == ring.size ** 2
+    assert rows[:3] == [256, 512, 1024]
+
+
+def test_is_identity_early_failure_stops_in_first_batch(monkeypatch):
+    rows = _record_batches(monkeypatch)
+    ring = make_ring(MinRing(3))
+    assert ring.is_identity(C(X, Y)) is not True      # first failure at 252
+    assert sum(rows) <= 256
+    rows.clear()
+    assert ring.is_identity(X * C(Y, Z)) is not True  # first failure at 177399
+    assert max(rows) <= finitering._CHUNK

@@ -25,6 +25,14 @@ def test_deglex_order():
     assert deglex_key((1, 2)) < deglex_key((2, 1))
 
 
+@given(st.dictionaries(words(max_len=5, nvars=3), st.integers(-5, 5),
+                       max_size=30))
+def test_terms_iterate_in_deglex_order(t):
+    ws = list(NcPoly(t).terms)
+    assert ws == sorted(ws, key=deglex_key)
+    assert set(ws) == {w for w, c in t.items() if c}
+
+
 def test_arithmetic_basics():
     assert (X + Y) * (X - Y) == X * X - X * Y + Y * X - Y * Y
     assert X ** 3 == NcPoly.from_word((1, 1, 1))
