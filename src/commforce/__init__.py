@@ -1,9 +1,8 @@
 """Decide whether polynomial identities force rings to be commutative."""
 
 from .commalg import (CPoly, cartier, cartier_reconstruct,
-                      field_ideal_normal_form, find_nonvanishing_point,
-                      frobenius_scale, trial_factor, univ,
-                      univariate_membership)
+                      field_ideal_normal_form, frobenius_scale, trial_factor,
+                      univ, univariate_membership, value_gcd)
 from .decide import (DecideOptions, IdentitySet, Lemma33Instance,
                      PresentedWitness, PrimeConstraint, Verdict,
                      candidate_primes, decide_Ap, decide_B, decide_Up,

@@ -2,13 +2,16 @@
 
 Provides the pieces of commutative machinery the decision procedures
 need: Cartier operators splitting a mod-p polynomial along p-th power
-blocks, normal forms modulo field ideals (p, X_i^q - X_i), the
-lexicographic grid scan for a nonvanishing point, and univariate
-division tests modulo (p, X^p - X) and (p, (X^p - X)^2).
+blocks, normal forms modulo field ideals (p, X_i^q - X_i), the gcd of
+a polynomial's values at integer points (which bounds the
+characteristic of any model), factoring under a step budget, and
+univariate division tests modulo (p, X^p - X) and (p, (X^p - X)^2).
 """
 
 from itertools import product
 from math import gcd, isqrt
+
+from .errors import ResourceLimitError
 
 
 def _canon(terms, modulus):
@@ -221,18 +224,25 @@ def field_ideal_normal_form(P, p, n):
     return CPoly(t, P.nvars, p)
 
 
-def find_nonvanishing_point(P):
-    """First point of the grid {0,...,D}^s (lexicographic order) where
-    the integer polynomial P is nonzero, with its value; None iff P = 0.
-    D is the total degree of P, which suffices."""
-    if P.is_zero():
-        return None
-    D = max(P.degree(), 0)
-    for point in product(range(D + 1), repeat=P.nvars):
-        v = P.eval(point)
-        if v:
-            return point, v
-    return None
+def value_gcd(polys):
+    """gcd of the values of integer polynomials at all integer points;
+    0 when every polynomial vanishes.
+
+    A polynomial of total degree D is an integer combination of the
+    binomial products C(X_1, m_1)...C(X_s, m_s) with m_1+...+m_s <= D,
+    whose coefficients are in turn integer combinations of its values
+    at the points of {0,...,D}^s with coordinate sum at most D.  Those
+    points therefore already fix the gcd; the scan stops early at 1.
+    """
+    g = 0
+    for P in polys:
+        D = max(P.degree(), 0)
+        for point in product(range(D + 1), repeat=P.nvars):
+            if sum(point) <= D:
+                g = gcd(g, P.eval(point))
+                if g == 1:
+                    return 1
+    return g
 
 
 def univariate_divrem(P, M, p):
@@ -305,6 +315,15 @@ def trial_factor(N, step_budget=10 ** 7):
     if N > 1:
         out.append((N, 1))
     return sorted(out)
+
+
+def prime_factorization(N, stage, detail=""):
+    """``trial_factor(N)``, with its budget overflow reported as a
+    ResourceLimitError at ``stage``."""
+    try:
+        return trial_factor(N)
+    except OverflowError:
+        raise ResourceLimitError(stage, abs(N), detail)
 
 
 def is_prime(n):

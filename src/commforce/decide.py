@@ -15,8 +15,7 @@ from itertools import product
 from math import gcd, isqrt
 
 from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
-                      find_nonvanishing_point, frobenius_scale, trial_factor,
-                      univ)
+                      frobenius_scale, prime_factorization, univ, value_gcd)
 from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
@@ -46,9 +45,24 @@ class IdentitySet:
 
 @dataclass(frozen=True)
 class PrimeConstraint:
-    """Either no restriction, or a finite list of (p, max exponent)."""
+    """The primes a model's characteristic may be a power of: all of
+    them, or a finite list of (p, max exponent)."""
     all_primes: bool
     primes: tuple = ()
+
+    def candidates(self, bound, *gs):
+        """The admitted primes up to ``bound`` or dividing some g > 1,
+        ascending; each stage names its own bound and gcds.  A finite
+        constraint tests its own primes against each g, so only the
+        unrestricted one ever factors g."""
+        if not self.all_primes:
+            return [p for p, _ in self.primes
+                    if p <= bound or any(g > 1 and g % p == 0 for g in gs)]
+        cands = set(_primes_upto(bound))
+        for g in gs:
+            cands |= {p for p, _ in prime_factorization(
+                g, "characteristic-factoring")}
+        return sorted(cands)
 
 
 @dataclass(frozen=True)
@@ -104,22 +118,17 @@ class DecideOptions:
 def candidate_primes(ids):
     """Constrain the characteristic of any model.
 
-    A nonzero commutative image must vanish at every scalar point of a
-    model, so its first nonzero value on the integer grid bounds the
-    characteristic.
+    Every commutative image vanishes at every scalar point of a model,
+    so its characteristic m divides the gcd g of all their values at
+    integer points (``value_gcd``).  A ring of characteristic p^a with
+    p not dividing g is zero, hence no model.  Every stage draws its
+    primes from this constraint; no primes at all means Forces.
     """
-    for P in ids.polys:
-        img = abelianize(P, ids.nvars)
-        if img.is_zero():
-            continue
-        point, value = find_nonvanishing_point(img)
-        try:
-            fac = trial_factor(value)
-        except OverflowError:
-            raise ResourceLimitError("candidate-primes", abs(value),
-                                     "factoring grid value")
-        return PrimeConstraint(False, tuple(fac))
-    return PrimeConstraint(True)
+    g = value_gcd([abelianize(P, ids.nvars) for P in ids.polys])
+    if g == 0:
+        return PrimeConstraint(True)
+    return PrimeConstraint(False, tuple(prime_factorization(
+        g, "candidate-primes", "factoring grid value")))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +153,15 @@ def _upper_eval(P, tup):
     return acc
 
 
-def decide_Up(ids, options=None):
+def decide_Up(ids, options=None, plan=None):
     """Witness among upper triangular 2x2 matrix rings, or None.
 
     The identities are evaluated at every tuple from the eight {0,1}
     upper triangular integer matrices; the gcd of the nonzero entries
-    pins down the usable primes.
+    pins down the usable primes (only 2 when every entry vanishes).
     """
     options = options or DecideOptions()
+    plan = plan or candidate_primes(ids)
     if 8 ** ids.nvars > options.eval_cap:
         raise ResourceLimitError("upper-matrix-scan", options.eval_cap,
                                  "8^%d integer tuples" % ids.nvars)
@@ -160,15 +170,7 @@ def decide_Up(ids, options=None):
         for tup in product(_UPPER_MATS, repeat=ids.nvars):
             for entry in _upper_eval(P, tup):
                 g = gcd(g, entry)
-    if g == 0:
-        ring = make_ring(Up(2))
-        if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
-               for P in ids.polys):
-            return (2, ring)
-        return None
-    if g == 1:
-        return None
-    for p, _ in trial_factor(g):
+    for p in plan.candidates(0 if g else 2, g):
         ring = make_ring(Up(p))
         if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
                for P in ids.polys):
@@ -201,10 +203,8 @@ def _instance_conditions(summands, s):
 
 
 def _instance_gcd(summands, s):
-    g = 0
-    for T in _instance_conditions(summands, s).values():
-        g = gcd(g, T.content())
-    return g
+    return gcd(*(T.content()
+                 for T in _instance_conditions(summands, s).values()))
 
 
 def _instance_value(summands, s, p, k):
@@ -246,11 +246,8 @@ def lemma33_decide(inst):
         return (2, 2, 1)
     s = inst.nvars
     kappa = inst.kappa
-    cands = set(_primes_upto(kappa + 2)) | {2}
-    N = _instance_gcd(summands, s)
-    if N > 1:
-        cands |= {q for q, _ in trial_factor(N)}
-    for p in sorted(cands):
+    for p in PrimeConstraint(True).candidates(kappa + 2,
+                                              _instance_gcd(summands, s)):
         for n in range(2, _scan_bound(p, kappa) + 1):
             for k in range(1, n // 2 + 1):
                 if _instance_member(summands, s, p, n, k):
@@ -287,20 +284,18 @@ def _case_one_instances(ids):
     return low, high, kappa
 
 
-def _case_one(ids, prime_filter, options):
+def _case_one(ids, prime, options, plan):
+    """Twisted-ring witness when only the twist data matters: at the
+    given prime, or else at every admitted candidate."""
     s = ids.nvars
     low, high, kappa = _case_one_instances(ids)
-    if prime_filter is not None:
-        cands = {prime_filter}
+    if prime is not None:
+        cands = [prime]
     else:
-        cands = set(_primes_upto(kappa + 2)) | {2}
-        for group in (low, high):
-            N = 0
-            for lst in group:
-                N = gcd(N, _instance_gcd(lst, s))
-            if N > 1:
-                cands |= {q for q, _ in trial_factor(N)}
-    for p in sorted(cands):
+        cands = plan.candidates(kappa + 2, *(
+            gcd(*(_instance_gcd(lst, s) for lst in group))
+            for group in (low, high)))
+    for p in cands:
         for n in range(2, _scan_bound(p, kappa) + 1):
             for l in range(1, n):
                 if l <= n - l:
@@ -340,25 +335,20 @@ def _case_two_small(ids, p, options):
     return None
 
 
-def decide_B(ids, options=None):
+def decide_B(ids, options=None, plan=None):
     """Least verified witness (p, n, l, ring) among the twisted rings,
     or None."""
     options = options or DecideOptions()
+    plan = plan or candidate_primes(ids)
     bars = [bar_transversal(P) for P in ids.polys]
     if all(b.is_zero() for b in bars):
-        return _case_one(ids, None, options)
-    d = 0
-    for b in bars:
-        d = gcd(d, b.content())
-    degmax = max(b.degree() for b in bars if not b.is_zero())
-    cands = set()
-    if d > 1:
-        cands |= {q for q, _ in trial_factor(d)}
-    cands |= {q for q in _primes_upto(isqrt(degmax)) if d % q}
-    for p in sorted(cands):
+        return _case_one(ids, None, options, plan)
+    d = gcd(*(b.content() for b in bars))
+    degmax = max(b.degree() for b in bars)
+    for p in plan.candidates(isqrt(degmax), d):
         if d % p == 0:
             # straightened parts vanish mod p; only twist data matters
-            hit = _case_one(ids, p, options)
+            hit = _case_one(ids, p, options, plan)
         else:
             hit = _case_two_small(ids, p, options)
         if hit:
@@ -369,7 +359,7 @@ def decide_B(ids, options=None):
 # ---------------------------------------------------------------------------
 # local rings with central commutators
 
-def _ap_flat(ids, prime, options):
+def _ap_flat(ids, prime, options, plan):
     """All straightened parts vanish (absolutely, or mod the given
     prime): a model exists iff one prime makes every flattened
     commutator coefficient an identity for F_p."""
@@ -383,18 +373,10 @@ def _ap_flat(ids, prime, options):
                 coeffs.append(img)
     if prime is not None:
         cands = [prime]
-    elif not coeffs:
-        cands = [2]
     else:
-        g = 0
-        mx = 0
-        for A in coeffs:
-            g = gcd(g, A.content())
-            mx = max(mx, A.degree())
-        cands = set(_primes_upto(mx))
-        if g > 1:
-            cands |= {q for q, _ in trial_factor(g)}
-        cands = sorted(cands)
+        # no coefficient at all: any prime will do, so try 2
+        bound = max((A.degree() for A in coeffs), default=2)
+        cands = plan.candidates(bound, gcd(*(A.content() for A in coeffs)))
     for p in cands:
         if all(field_ideal_normal_form(A, p, 1).is_zero() for A in coeffs):
             ring = make_ring(TruncFree(p, 3))
@@ -562,13 +544,11 @@ def _ap_presented(ids, p, a, d, Gs, options):
     return (p, PresentedWitness(fam, basis, at))
 
 
-def _ap_general(ids, options):
+def _ap_general(ids, options, plan):
     s = ids.nvars
     bars = [bar_transversal(P) for P in ids.polys]
-    D = max(b.degree() for b in bars if not b.is_zero())
-    d = 0
-    for b in bars:
-        d = gcd(d, b.content())
+    D = max(b.degree() for b in bars)
+    d = gcd(*(b.content() for b in bars))
     weights = [(D + 1) ** i for i in range(s)]
     Gs = []
     for P in ids.polys:
@@ -578,23 +558,11 @@ def _ap_general(ids, options):
             k = sum(ei * wi for ei, wi in zip(e, weights))
             terms[k] = terms.get(k, 0) + c
         Gs.append(univ(terms))
-    N = 0
-    for G in Gs:
-        for j in range((D + 1) ** s + 1):
-            N = gcd(N, G.eval((j,)))
-            if N == 1:
-                break
-        if N == 1:
-            break
-    if N == 1:
-        return None
-    try:
-        fac = trial_factor(N)
-    except OverflowError:
-        raise ResourceLimitError("characteristic-factoring", N, "")
-    for p, a in fac:
+    N = value_gcd(Gs)
+    for p in plan.candidates(0, N):
+        a = _vp(N, p)
         if d % (p ** a) == 0:
-            hit = _ap_flat(ids, p, options)
+            hit = _ap_flat(ids, p, options, plan)
         else:
             hit = _ap_presented(ids, p, a, d, Gs, options)
         if hit:
@@ -602,15 +570,16 @@ def _ap_general(ids, options):
     return None
 
 
-def decide_Ap(ids, options=None):
+def decide_Ap(ids, options=None, plan=None):
     """Witness among local rings with central commutators, or None.
     Returns (p, ring) with a tabled truncated algebra, or
     (p, PresentedWitness) when only a presentation certifies it."""
     options = options or DecideOptions()
+    plan = plan or candidate_primes(ids)
     bars = [bar_transversal(P) for P in ids.polys]
     if all(b.is_zero() for b in bars):
-        return _ap_flat(ids, None, options)
-    return _ap_general(ids, options)
+        return _ap_flat(ids, None, options, plan)
+    return _ap_general(ids, options, plan)
 
 
 def presented_scan_check(ids, basis, scan_length, options=None):
@@ -681,39 +650,41 @@ def _fast_path(ids, options):
     return None
 
 
+def _limit_verdict(err):
+    return Verdict("limit", stage=err.stage, limit=err.limit,
+                   detail=err.detail)
+
+
 def decide_all(ids, options=None):
-    """Full decision: Forces, a verified Witness, or ResourceLimit."""
+    """Full decision: Forces, a verified Witness, or ResourceLimit.
+
+    The prime constraint is derived once and handed to every stage;
+    when one stage hits a limit the later ones still run, and the
+    first limit is reported only if no witness turns up."""
     options = options or DecideOptions()
     if not ids.polys or all(P.is_zero() for P in ids.polys):
         ring = make_ring(Mat(2, 2, 1))
         return _witness_verdict(2, ring)
-    if options.fast_paths:
-        fp = _fast_path(ids, options)
-        if fp is not None:
-            return fp
-    constraint = candidate_primes(ids)
-    if not constraint.all_primes and not constraint.primes:
+    try:
+        if options.fast_paths:
+            fp = _fast_path(ids, options)
+            if fp is not None:
+                return fp
+        plan = candidate_primes(ids)
+    except ResourceLimitError as err:
+        return _limit_verdict(err)
+    if not plan.all_primes and not plan.primes:
         return Verdict("forces")
     limited = None
-    try:
-        hit = decide_Up(ids, options)
+    for stage in (decide_Up, decide_B, decide_Ap):
+        try:
+            hit = stage(ids, options, plan=plan)
+        except ResourceLimitError as err:
+            limited = limited or err
+            continue
         if hit:
-            return _witness_verdict(hit[0], hit[1])
-    except ResourceLimitError as err:
-        limited = err
-    try:
-        hit = decide_B(ids, options)
-        if hit:
-            return _witness_verdict(hit[0], hit[3], params=(hit[1], hit[2]))
-    except ResourceLimitError as err:
-        limited = limited or err
-    try:
-        hit = decide_Ap(ids, options)
-        if hit:
-            return _witness_verdict(hit[0], hit[1])
-    except ResourceLimitError as err:
-        limited = limited or err
+            # (p, ring), or (p, n, l, ring) from the twisted rings
+            return _witness_verdict(hit[0], hit[-1], params=hit[1:-1])
     if limited is not None:
-        return Verdict("limit", stage=limited.stage, limit=limited.limit,
-                       detail=limited.detail)
+        return _limit_verdict(limited)
     return Verdict("forces")

@@ -14,9 +14,14 @@ from itertools import product
 from math import comb, gcd
 
 from .commalg import (CPoly, _primes_upto, field_ideal_normal_form,
-                      is_prime, trial_factor, univ, univariate_membership)
+                      is_prime, prime_factorization, univ,
+                      univariate_membership, value_gcd)
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
+
+
+def _prime_divisors(N):
+    return [p for p, _ in prime_factorization(N, "characteristic-factoring")]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +72,7 @@ def multilinear_decide(polys):
             g = gcd(g, v)
     if g == 1:
         return None
-    p = 2 if g == 0 else trial_factor(g)[0][0]
+    p = 2 if g == 0 else _prime_divisors(g)[0]
     ring = make_ring(MinRing(p))
     basis = [ring.basis_element(i) for i in range(ring.dim)]
     for P, pr in zip(polys, profiles):
@@ -91,12 +96,8 @@ def univariate_decide(P):
     if Q.is_zero():
         ring = make_ring(Up(2))
         return (2, ring)
-    N = 0
-    for i in range(Q.degree() + 1):
-        N = Q.eval((i,))
-        if N:
-            break
-    for p, _ in trial_factor(N):
+    # a witness prime makes Q vanish on F_p, so it divides every value
+    for p in _prime_divisors(value_gcd([Q])):
         if univariate_membership(Q, "sq", p):
             ring = make_ring(Up(p))
             if ring.is_identity(P) is True:
@@ -123,16 +124,10 @@ def central_decide(Q):
         raise ValueError("univariate polynomial required")
     Qc = abelianize(Q, 1)
     dQ = univ({e[0] - 1: e[0] * c for e, c in Qc.terms.items() if e[0] >= 1})
-    if dQ.is_zero():
-        cands = [2]
-    else:
-        N = 0
-        for i in range(dQ.degree() + 1):
-            N = dQ.eval((i,))
-            if N:
-                break
-        cands = [p for p, _ in trial_factor(N)]
-    for p in cands:
+    # dQ = 0 leaves every prime, so try 2; otherwise a witness prime
+    # makes dQ vanish on F_p, so it divides every value
+    N = value_gcd([dQ])
+    for p in _prime_divisors(N) if N else [2]:
         if dQ.is_zero() or univariate_membership(dQ, "lin", p):
             ring = make_ring(TruncFree(p, 3))
             if _central_verify(ring, Q):
@@ -162,7 +157,7 @@ def power_identity_decide(exponents):
         g = gcd(g, comb(n, 2))
     if g == 1:
         return None
-    p = trial_factor(g)[0][0]
+    p = _prime_divisors(g)[0]
     X = NcPoly.var(1)
     Y = NcPoly.var(2)
     n0 = S[0]

@@ -177,6 +177,24 @@ def test_cli_resource_limit_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+BIG = "2305843009213693951"   # 2^61 - 1, prime, beyond trial division
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "%(big)s"],
+    ["decide", "--no-fast-path", "%(big)s"],
+    ["univariate", BIG + "*X"],
+    ["central", BIG + "*X^2"],
+    ["power", "--set", "4611686014132420609"],
+])
+def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv):
+    big = write(tmp_path, "big.ids", "vars X Y\nid %s*[X,Y]\n" % BIG)
+    assert main([a % {"big": big} for a in argv] + ["--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["stage"]) == \
+        ("limit", "characteristic-factoring")
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--ring", '{"family":"B","p":2,"n":1,"l":1}', "%(ids)s"],
     ["check", "--ring", "[1]", "%(ids)s"],

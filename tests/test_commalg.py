@@ -1,11 +1,15 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commforce.commalg import (CPoly, cartier, cartier_reconstruct,
-                               field_ideal_normal_form,
-                               find_nonvanishing_point, frobenius_scale,
-                               trial_factor, univ, univariate_divrem,
-                               univariate_membership)
+                               field_ideal_normal_form, frobenius_scale,
+                               prime_factorization, trial_factor, univ,
+                               univariate_divrem, univariate_membership,
+                               value_gcd)
+from commforce.errors import ResourceLimitError
 
 
 def cpolys(p, nvars=2):
@@ -58,7 +62,6 @@ def test_field_ideal_normal_form_frozen():
 
 def test_field_ideal_vs_brute_force():
     # nf zero iff the polynomial vanishes on all of F_p^s (n = 1)
-    import itertools
     for p in (2, 3):
         P = CPoly({(p, 0): 1, (1, 0): -1}, 2, p)
         assert field_ideal_normal_form(P, p, 1).is_zero()
@@ -69,10 +72,28 @@ def test_field_ideal_vs_brute_force():
         assert nf.is_zero() == vanishes
 
 
-def test_find_nonvanishing_point():
+def test_value_gcd():
+    # x^2 y^2 (2 + x^2) is divisible by 3 at every integer point
     P = CPoly({(2, 2): 2, (4, 2): 1}, 2, None)
-    assert find_nonvanishing_point(P) == ((1, 1), 3)
-    assert find_nonvanishing_point(CPoly.zero(2)) is None
+    assert value_gcd([P]) == 3
+    assert value_gcd([P.scale(2), CPoly({(1, 0): 6}, 2)]) == 6
+    assert value_gcd([CPoly.zero(2)]) == 0
+    assert value_gcd([]) == 0
+    # Jacobson: gcd of k^n - k is the product of the p with p-1 | n-1
+    assert value_gcd([univ({13: 1, 1: -1})]) == 2 * 3 * 5 * 7 * 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda s: st.dictionaries(
+    st.tuples(*([st.integers(0, 3)] * s)),
+    st.integers(-40, 40).filter(bool), max_size=4).map(
+        lambda t: CPoly(t, s, None))))
+def test_value_gcd_matches_larger_box(P):
+    D = max(P.degree(), 0)
+    g = 0
+    for point in itertools.product(range(-2, D + 3), repeat=P.nvars):
+        g = math.gcd(g, P.eval(point))
+    assert value_gcd([P]) == g
 
 
 def test_univariate_division():
@@ -99,3 +120,11 @@ def test_trial_factor():
     assert trial_factor(0) == []
     with pytest.raises(OverflowError):
         trial_factor((10 ** 9 + 7) * (10 ** 9 + 9), step_budget=10)
+
+
+def test_prime_factorization_budget_is_a_limit():
+    assert prime_factorization(-360, "s") == [(2, 3), (3, 2), (5, 1)]
+    with pytest.raises(ResourceLimitError) as e:
+        prime_factorization(-(2 ** 61 - 1), "characteristic-factoring")
+    assert (e.value.stage, e.value.limit, e.value.detail) == \
+        ("characteristic-factoring", 2 ** 61 - 1, "")

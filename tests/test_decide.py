@@ -1,13 +1,18 @@
+import json
+
 import pytest
 
+from commforce import decide
+from commforce.cli import verdict_doc
 from commforce.commalg import CPoly
 from commforce.decide import (DecideOptions, IdentitySet, Lemma33Instance,
-                              PresentedWitness, candidate_primes, decide_Ap,
-                              decide_B, decide_Up, decide_all, lemma33_decide,
-                              presented_scan_check)
+                              PresentedWitness, PrimeConstraint,
+                              candidate_primes, decide_Ap, decide_B, decide_Up,
+                              decide_all, lemma33_decide, presented_scan_check)
 from commforce.errors import ResourceLimitError
 from commforce.finitering import B, Mat, Presented, Up
 from commforce.freealg import NcPoly, commutator, format_ncpoly
+from commforce.oracle import RandomProfile, random_identities
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -39,6 +44,62 @@ def test_candidate_primes_quartic():
 
 def test_candidate_primes_unrestricted():
     assert candidate_primes(ids(commutator(X, Y))).all_primes
+
+
+def test_candidate_primes_take_the_value_gcd():
+    # X^62 - X: the first nonzero value 2^62 - 2 is beyond trial
+    # division, but the gcd of all values is 2
+    c = candidate_primes(ids(X ** 62 - X, nvars=1))
+    assert c == PrimeConstraint(False, ((2, 1),))
+    assert c.candidates(5) == [2] and c.candidates(1, 6) == [2]
+    assert c.candidates(1, 9) == []
+    assert PrimeConstraint(True).candidates(5, 14) == [2, 3, 5, 7]
+
+
+def test_finite_plan_candidates_filter_the_unrestricted_ones():
+    # a finite plan tests its own primes against g instead of factoring
+    # g; the result must be the unrestricted candidates it admits
+    plan = PrimeConstraint(False, ((2, 3), (3, 1), (7, 2)))
+    for bound in range(10):
+        for gs in [(), (0,), (1,), (14,), (9, 10), (49, 0), (11,)]:
+            full = PrimeConstraint(True).candidates(bound, *gs)
+            assert plan.candidates(bound, *gs) == \
+                [p for p in full if p in (2, 3, 7)]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_decide_all_reports_factoring_limit(fast):
+    big = 2 ** 61 - 1
+    v = decide_all(ids(commutator(X, Y).scale(big)),
+                   DecideOptions(fast_paths=fast))
+    assert (v.kind, v.stage, v.limit) == \
+        ("limit", "characteristic-factoring", big)
+
+
+PROFILES = [RandomProfile(1, 6, 4, 3, 1), RandomProfile(2, 4, 4, 3, 1),
+            RandomProfile(2, 5, 4, 3, 2), RandomProfile(3, 4, 3, 3, 1),
+            RandomProfile(2, 6, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_prime_plan_matches_unrestricted_stages(monkeypatch, fast):
+    # a prime the plan drops can host no model, so handing every stage
+    # the unrestricted constraint instead must not change any verdict
+    sets = [random_identities(seed, pr)
+            for pr in PROFILES for seed in range(100, 150)]
+    opts = DecideOptions(fast_paths=fast)
+
+    def docs():
+        return [json.dumps(verdict_doc("decide", decide_all(s, opts)))
+                for s in sets]
+
+    planned = docs()
+    for name in ("decide_Up", "decide_B", "decide_Ap"):
+        stage = getattr(decide, name)
+        monkeypatch.setattr(decide, name,
+                            lambda i, o, plan, stage=stage:
+                            stage(i, o, plan=PrimeConstraint(True)))
+    assert docs() == planned
 
 
 def test_candidate_primes_empty_forces():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from commforce.decide import DecideOptions, IdentitySet, decide_all
 from commforce.finitering import MinRing, TruncFree, Up, make_ring
 from commforce.freealg import NcPoly, commutator
 from commforce.theorems import (MinRingCertificate, NotIdentityReport,
@@ -46,8 +47,14 @@ def test_multilinear_symmetrization_witness():
 
 
 def test_univariate_jacobson_forces():
-    for n in range(2, 7):
+    # the gcd of the values k^n - k stays small (the product of the
+    # primes p with p - 1 | n - 1) while 2^n - 2 outgrows trial division
+    for n in range(2, 200):
         assert univariate_decide(X ** n - X) is None
+    for fast in (True, False):
+        v = decide_all(IdentitySet(1, (X ** 62 - X,)),
+                       DecideOptions(fast_paths=fast))
+        assert v.kind == "forces"
 
 
 def test_univariate_square_witness():
