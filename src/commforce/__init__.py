@@ -6,7 +6,8 @@ from .commalg import (CPoly, cartier, cartier_reconstruct,
 from .decide import (DecideOptions, IdentitySet, Lemma33Instance,
                      PresentedWitness, PrimeConstraint, Verdict,
                      candidate_primes, decide_Ap, decide_B, decide_Up,
-                     decide_all, lemma33_decide, presented_scan_check)
+                     decide_all, lemma33_decide, presented_scan_check,
+                     verify)
 from .errors import ResourceLimitError
 from .finitering import (B, Fq, Mat, MinRing, Presented, TabledRing,
                          TruncFree, Up, family_from_json, family_json,

@@ -21,7 +21,7 @@ import sys
 
 from .commalg import is_prime
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
-                     _closed_form_verdict, decide_all, presented_scan_check)
+                     _closed_form_verdict, decide_all, verify)
 from .errors import ResourceLimitError
 from .finitering import Presented, family_from_json, family_json, make_ring
 from .freealg import NcPoly, format_ncpoly
@@ -174,15 +174,22 @@ class _ExprParser:
         raise ParseError(self.line, t[2], "unexpected token %r" % (t[1],))
 
 
+def _parse_whole(toks, varmap, line_no,
+                 trailing="trailing input after expression"):
+    """The expression spanning all of ``toks``; leftover tokens fail
+    with the message ``trailing``."""
+    p = _ExprParser(toks, varmap, line_no)
+    out = p.expr()
+    if p.peek() is not None:
+        p.fail(trailing)
+    return out
+
+
 def parse_expression(text, varmap, line_no=1):
     toks = _tokenize(text, line_no)
     if not toks:
         raise ParseError(line_no, 1, "empty expression")
-    p = _ExprParser(toks, varmap, line_no)
-    out = p.expr()
-    if p.peek() is not None:
-        p.fail("trailing input after expression")
-    return out
+    return _parse_whole(toks, varmap, line_no)
 
 
 def parse_identity_file(text):
@@ -223,20 +230,11 @@ def parse_identity_file(text):
                     split = k
                     break
             if split is None:
-                p = _ExprParser(body, varmap, ln)
-                poly = p.expr()
-                if p.peek() is not None:
-                    p.fail("trailing input after expression")
+                poly = _parse_whole(body, varmap, ln)
             else:
-                lhs = _ExprParser(body[:split], varmap, ln)
-                left = lhs.expr()
-                if lhs.peek() is not None:
-                    lhs.fail("trailing input before '='")
-                rhs = _ExprParser(body[split + 1:], varmap, ln)
-                right = rhs.expr()
-                if rhs.peek() is not None:
-                    rhs.fail("trailing input after expression")
-                poly = left - right
+                poly = (_parse_whole(body[:split], varmap, ln,
+                                     "trailing input before '='")
+                        - _parse_whole(body[split + 1:], varmap, ln))
             polys.append(poly)
             continue
         raise ParseError(ln, head[2], "expected 'vars' or 'id'")
@@ -477,19 +475,16 @@ def _cmd_verify(args):
         except (ValueError, KeyError, TypeError) as err:
             raise ParseError(1, 1, "bad witness document: %s" % err)
     ids, _ = _load_ids(args.file)
-    fam, ring = _family(ring_doc)
+    fam, witness = _family(ring_doc)
     opts = _options(args)
-    if ring is None:
-        scan_length = wdoc.get("scan_length", 3)
+    if witness is None:
+        # a missing scan_length fails the int check: nothing recorded it
+        scan_length = wdoc.get("scan_length")
         _check_presented(ring_doc, scan_length)
-        varmap = {"X": 1, "Y": 2}
-        gens = [parse_expression(g, varmap) for g in fam.generators]
-        basis = complete(gens, fam.p, fam.a, opts.gsb_limits)
-        ok = presented_scan_check(ids, basis, scan_length, opts)
-    else:
-        ok = (ring.is_commutative() is not True
-              and all(ring.is_identity(P, eval_cap=opts.eval_cap) is True
-                      for P in ids.polys))
+        gens = [parse_expression(g, {"X": 1, "Y": 2}) for g in fam.generators]
+        witness = PresentedWitness(fam, complete(gens, fam.p, fam.a,
+                                                 opts.gsb_limits), scan_length)
+    ok = verify(witness, ids, opts)
     doc = {"schema": SCHEMA, "command": "verify", "ring": ring_doc,
            "valid": bool(ok)}
     _emit(doc, args.json,

@@ -8,6 +8,7 @@ characteristic of any model), factoring under a step budget, and
 univariate division tests modulo (p, X^p - X) and (p, (X^p - X)^2).
 """
 
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
 
@@ -317,13 +318,23 @@ def trial_factor(N, step_budget=10 ** 7):
     return sorted(out)
 
 
+@lru_cache(maxsize=1024)
+def _factor_outcome(N):
+    """``trial_factor(N)`` as a tuple, or None past its budget."""
+    try:
+        return tuple(trial_factor(N))
+    except OverflowError:
+        return None
+
+
 def prime_factorization(N, stage, detail=""):
     """``trial_factor(N)``, with its budget overflow reported as a
-    ResourceLimitError at ``stage``."""
-    try:
-        return trial_factor(N)
-    except OverflowError:
+    ResourceLimitError at ``stage``.  The outcome is cached, so stages
+    that factor the same gcd pay for trial division once."""
+    out = _factor_outcome(abs(N))
+    if out is None:
         raise ResourceLimitError(stage, abs(N), detail)
+    return list(out)
 
 
 def is_prime(n):

@@ -172,8 +172,7 @@ def decide_Up(ids, options=None, plan=None):
                 g = gcd(g, entry)
     for p in plan.candidates(0 if g else 2, g):
         ring = make_ring(Up(p))
-        if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
-               for P in ids.polys):
+        if verify(ring, ids, options):
             return (p, ring)
     return None
 
@@ -305,8 +304,7 @@ def _case_one(ids, prime, options, plan):
                 if not ok:
                     continue
                 ring = make_ring(B(p, n, l))
-                if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
-                       for P in ids.polys):
+                if verify(ring, ids, options):
                     return (p, n, l, ring)
     return None
 
@@ -328,8 +326,7 @@ def _case_two_small(ids, p, options):
     while p ** n <= D:
         for l in range(1, n):
             ring = make_ring(B(p, n, l))
-            if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
-                   for P in ids.polys):
+            if verify(ring, ids, options):
                 return (p, n, l, ring)
         n += 1
     return None
@@ -380,8 +377,7 @@ def _ap_flat(ids, prime, options, plan):
     for p in cands:
         if all(field_ideal_normal_form(A, p, 1).is_zero() for A in coeffs):
             ring = make_ring(TruncFree(p, 3))
-            if all(ring.is_identity(P, eval_cap=options.eval_cap) is True
-                   for P in ids.polys):
+            if verify(ring, ids, options):
                 return (p, ring)
     return None
 
@@ -592,6 +588,19 @@ def presented_scan_check(ids, basis, scan_length, options=None):
         return False
     nf, _ = _specialization_scan(ids, basis, scan_length, options, 0, "verify")
     return nf is None
+
+
+def verify(witness, ids, options=None):
+    """The acceptance check for every witness.  A presented one must
+    pass ``presented_scan_check`` over its recorded scan length; a
+    tabled ring must be noncommutative and satisfy every identity at
+    every tuple (``TabledRing.holds``)."""
+    options = options or DecideOptions()
+    if isinstance(witness, PresentedWitness):
+        return presented_scan_check(ids, witness.basis, witness.scan_length,
+                                    options)
+    return (witness.is_commutative() is not True
+            and all(witness.holds(P, options.eval_cap) for P in ids.polys))
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ matrix rings, truncated free algebras and the 4-dimensional minimal
 ring for multilinear identities.  Identity checking over all tuples is
 batched with numpy and runs in lexicographic order, in batches that grow
 from 256 to 65536 tuples, so a failing identity stops after the batch
-that holds its first counterexample.
+that holds its first counterexample; ``holds`` lets each variable that
+occurs exactly once in every word range over the basis only.
 """
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 import numpy as np
 
 from .errors import ResourceLimitError
 
-# TabledRing.is_identity evaluates _FIRST_BATCH tuples first, then
+# TabledRing._scan evaluates _FIRST_BATCH tuples first, then
 # doubles the batch after each one up to at most _CHUNK tuples
 _FIRST_BATCH = 1 << 8
 _CHUNK = 1 << 16
@@ -312,38 +314,50 @@ class TabledRing:
             acc += (c % self.char) * cache[w]
         return acc % self.char
 
-    def is_identity(self, P, eval_cap=10 ** 7):
-        """True if P vanishes at every tuple, else the first failing
-        tuple in scan order."""
+    def _scan(self, P, linear, eval_cap):
+        """The first tuple in lexicographic order at which P does not
+        vanish, or None.  Variables in ``linear`` range over the basis
+        elements, the others over the whole ring."""
         vs = P.variables()
         s = max(vs) if vs else 1
-        total = self.size ** s
+        radix = [self.dim if v in linear else self.size
+                 for v in range(1, s + 1)]
+        total = prod(radix)
         if total > eval_cap:
             raise ResourceLimitError("exhaustive-eval", eval_cap,
                                      "%d tuples on %r" % (total, self.family))
-        elems = self.elements()
+        elems = self.elements() if len(linear) < s else None
+        basis = np.eye(self.dim, dtype=np.int64)
+        tables = [basis if v in linear else elems for v in range(1, s + 1)]
         lo, step = 0, _FIRST_BATCH
         while lo < total:
             hi = min(lo + step, total)
-            flat = np.arange(lo, hi, dtype=np.int64)
-            rest = flat
-            idxs = []
-            for v in range(s - 1, -1, -1):
-                idxs.append(rest % self.size)
-                rest = rest // self.size
-            idxs.reverse()
-            columns = [elems[ix] for ix in idxs]
-            vals = self.eval_batch(P, columns)
-            bad = np.nonzero(vals.any(axis=1))[0]
+            rest = np.arange(lo, hi, dtype=np.int64)
+            columns = []
+            for table, r in zip(reversed(tables), reversed(radix)):
+                columns.append(table[rest % r])
+                rest = rest // r
+            columns.reverse()
+            bad = np.nonzero(self.eval_batch(P, columns).any(axis=1))[0]
             if bad.size:
-                k = int(flat[bad[0]])
-                tup = []
-                for v in range(s - 1, -1, -1):
-                    tup.append(self.element_from_index(k % self.size))
-                    k //= self.size
-                return tuple(reversed(tup))
+                return tuple(tuple(int(x) for x in col[bad[0]])
+                             for col in columns)
             lo, step = hi, min(2 * step, _CHUNK)
-        return True
+        return None
+
+    def is_identity(self, P, eval_cap=10 ** 7):
+        """True if P vanishes at every tuple, else the first failing
+        tuple in scan order."""
+        bad = self._scan(P, (), eval_cap)
+        return True if bad is None else bad
+
+    def holds(self, P, eval_cap=10 ** 7):
+        """Whether P vanishes at every tuple.  A variable occurring
+        exactly once in every word enters P Z-linearly, so basis values
+        certify all values and it ranges over the basis only."""
+        linear = {v for v in P.variables()
+                  if all(w.count(v) == 1 for w in P.terms)}
+        return self._scan(P, linear, eval_cap) is None
 
     def is_commutative(self):
         """True, or a pair of basis elements (a, b) with ab != ba."""

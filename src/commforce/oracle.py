@@ -2,12 +2,13 @@
 
 A bounded brute-force search over the small witness families gives an
 oracle that is slow but shares no search code with the decision logic;
-cross_validate compares its outcome with a verdict.  Tabled witnesses
-are re-verified by exhaustive evaluation; presented witnesses have no
-finite table, so they are re-checked with the decision path's own
-specialization scan (presented_scan_check).  Seeded random identity
-generation and a linear-algebra ideal membership checker for truncated
-quotients support the regression corpus.
+cross_validate compares its outcome with a verdict.  A witness is
+re-checked by the decision path's own acceptance check (decide.verify):
+a tabled ring by exhaustive evaluation, where each variable occurring
+exactly once in every word ranges over the basis only, and a presented
+witness, which has no finite table, by its specialization scan.
+Seeded random identity generation and a linear-algebra ideal membership
+checker for truncated quotients support the regression corpus.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commalg import _primes_upto
-from .decide import IdentitySet, PresentedWitness, presented_scan_check
+from .decide import DecideOptions, IdentitySet, PresentedWitness, verify
 from .errors import ResourceLimitError
 from .finitering import B, MinRing, Mat, TruncFree, Up, make_ring
 from .freealg import NcPoly, format_ncpoly
@@ -109,8 +110,8 @@ class CrossReport:
 def cross_validate(ids, verdict, bounds=None):
     """Compare a verdict against the brute-force oracle.
 
-    A Witness is re-verified directly (a presented one by the
-    specialization scan over its recorded scan length); Forces is
+    A Witness is re-checked by ``decide.verify`` (a presented one by
+    the specialization scan over its recorded scan length); Forces is
     checked against the bounded search coming up empty; a
     resource-limited verdict is recorded without assertion.
     """
@@ -118,13 +119,10 @@ def cross_validate(ids, verdict, bounds=None):
     digest = identity_digest(ids)
     if verdict.kind == "witness":
         w = verdict.witness
-        if isinstance(w, PresentedWitness):
-            ok = presented_scan_check(ids, w.basis, w.scan_length)
-            detail = "presented witness re-checked by specialization scan"
-        else:
-            ok = all(w.is_identity(P, eval_cap=bounds.eval_cap) is True
-                     for P in ids.polys)
-            detail = "witness re-verified exhaustively"
+        ok = verify(w, ids, DecideOptions(eval_cap=bounds.eval_cap))
+        detail = ("presented witness re-checked by specialization scan"
+                  if isinstance(w, PresentedWitness)
+                  else "witness re-verified exhaustively")
         return CrossReport(digest, "witness", verdict.family, ok, [], detail)
     if verdict.kind == "forces":
         res = witness_search(ids, bounds)

@@ -13,15 +13,23 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd
 
-from .commalg import (CPoly, _primes_upto, field_ideal_normal_form,
+from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
                       is_prime, prime_factorization, univ,
                       univariate_membership, value_gcd)
+from .decide import IdentitySet, verify
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
 
 
 def _prime_divisors(N):
     return [p for p, _ in prime_factorization(N, "characteristic-factoring")]
+
+
+def _verified(p, ring, polys):
+    """(p, ring) when ``decide.verify`` accepts the ring for every
+    identity, else None."""
+    s = max([1] + [v for P in polys for v in P.variables()])
+    return (p, ring) if verify(ring, IdentitySet(s, tuple(polys))) else None
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +81,7 @@ def multilinear_decide(polys):
     if g == 1:
         return None
     p = 2 if g == 0 else _prime_divisors(g)[0]
-    ring = make_ring(MinRing(p))
-    basis = [ring.basis_element(i) for i in range(ring.dim)]
-    for P, pr in zip(polys, profiles):
-        # multilinearity lets basis tuples certify all tuples
-        for tup in product(basis, repeat=pr.arity):
-            if any(ring.eval(P, tup)):
-                return None
-    return (p, ring)
+    return _verified(p, make_ring(MinRing(p)), polys)
 
 
 # ---------------------------------------------------------------------------
@@ -99,9 +100,9 @@ def univariate_decide(P):
     # a witness prime makes Q vanish on F_p, so it divides every value
     for p in _prime_divisors(value_gcd([Q])):
         if univariate_membership(Q, "sq", p):
-            ring = make_ring(Up(p))
-            if ring.is_identity(P) is True:
-                return (p, ring)
+            hit = _verified(p, make_ring(Up(p)), [P])
+            if hit:
+                return hit
     return None
 
 
@@ -161,11 +162,8 @@ def power_identity_decide(exponents):
     X = NcPoly.var(1)
     Y = NcPoly.var(2)
     n0 = S[0]
-    ident = (X * Y) ** n0 - X ** n0 * Y ** n0
-    ring = make_ring(TruncFree(p, 3))
-    if ring.is_identity(ident) is True:
-        return (p, ring)
-    return None
+    return _verified(p, make_ring(TruncFree(p, 3)),
+                     [(X * Y) ** n0 - X ** n0 * Y ** n0])
 
 
 def freshman_decide(exponents):
@@ -174,29 +172,13 @@ def freshman_decide(exponents):
     S = sorted(set(exponents))
     if not S or min(S) < 2:
         raise ValueError("exponents must be >= 2")
-
-    def admissible(p):
-        for n in S:
-            k = 0
-            m = n
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1 or k < 1:
-                return False
-            if p == 2 and n < 4:
-                return False
-        return True
-
+    X = NcPoly.var(1)
+    Y = NcPoly.var(2)
+    # n >= 2 is a power of at most one prime, so one p at most qualifies
     for p in _primes_upto(max(S)):
-        if not admissible(p):
-            continue
-        X = NcPoly.var(1)
-        Y = NcPoly.var(2)
-        ring = make_ring(TruncFree(p, 3))
-        if all(ring.is_identity((X + Y) ** n - X ** n - Y ** n) is True
-               for n in S):
-            return (p, ring)
+        if all(p ** _vp(n, p) == n and (p > 2 or n >= 4) for n in S):
+            return _verified(p, make_ring(TruncFree(p, 3)),
+                             [(X + Y) ** n - X ** n - Y ** n for n in S])
     return None
 
 

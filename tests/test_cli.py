@@ -4,7 +4,10 @@ import pytest
 
 from commforce.cli import (ParseError, main, parse_expression,
                            parse_identity_file, render_identities)
+from commforce.decide import DecideOptions, IdentitySet, decide_all
+from commforce.finitering import TruncFree
 from commforce.freealg import NcPoly, commutator
+from commforce.oracle import cross_validate
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -160,6 +163,20 @@ def test_cli_verify_presented_witness(tmp_path, capsys):
     assert "confirmed" in capsys.readouterr().out
 
 
+def test_central_quintic_witness_checks_agree(tmp_path, capsys):
+    # [X^5,Y]: the fast path and the stages give the same TruncFree(5,3)
+    # witness, and the re-checks accept it with Y over the basis only
+    ids = IdentitySet(2, (commutator(X ** 5, Y),))
+    fast = decide_all(ids)
+    slow = decide_all(ids, DecideOptions(fast_paths=False))
+    assert fast.family == slow.family == TruncFree(5, 3)
+    assert cross_validate(ids, fast).agree
+    f = write(tmp_path, "q.ids", "vars X Y\nid [X^5,Y]\n")
+    assert main(["decide", f, "--json"]) == 0
+    w = write(tmp_path, "w.json", capsys.readouterr().out)
+    assert main(["verify", w, f]) == 0
+
+
 def test_cli_oracle(tmp_path, capsys):
     f = write(tmp_path, "q.ids", QUARTIC_FILE)
     assert main(["oracle", f, "--max-p", "3", "--max-n", "2",
@@ -220,6 +237,7 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     ({"family": "Presented", "p": 2, "a": 0, "generators": ["Y*X"]}, {}),
     ({"family": "Presented", "p": 2, "a": 1, "generators": ["Y*X"]},
      {"scan_length": -1}),
+    ({"family": "Presented", "p": 2, "a": 1, "generators": ["Y*X"]}, {}),
 ])
 def test_cli_verify_rejects_malformed_presented_witness(tmp_path, capsys,
                                                         ring, extra):

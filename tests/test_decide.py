@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from commforce import decide
+from commforce import commalg, decide
 from commforce.cli import verdict_doc
 from commforce.commalg import CPoly
 from commforce.decide import (DecideOptions, IdentitySet, Lemma33Instance,
@@ -74,6 +74,29 @@ def test_decide_all_reports_factoring_limit(fast):
                    DecideOptions(fast_paths=fast))
     assert (v.kind, v.stage, v.limit) == \
         ("limit", "characteristic-factoring", big)
+
+
+def test_gcd_is_factored_once_across_stages(monkeypatch):
+    # decide_Up, _case_one and _ap_flat all factor the same g; its
+    # budget overflow is remembered, each stage still reports its limit
+    big = 2 ** 61 - 1
+    calls = []
+    trial_factor = commalg.trial_factor
+
+    def counting(N, *a):
+        if abs(N) == big:
+            calls.append(N)
+            raise OverflowError("factoring budget exceeded")
+        return trial_factor(N, *a)
+
+    monkeypatch.setattr(commalg, "trial_factor", counting)
+    commalg._factor_outcome.cache_clear()
+    v = decide_all(ids(commutator(X, Y).scale(big)),
+                   DecideOptions(fast_paths=False))
+    commalg._factor_outcome.cache_clear()
+    assert (v.kind, v.stage, v.limit) == \
+        ("limit", "characteristic-factoring", big)
+    assert len(calls) == 1
 
 
 PROFILES = [RandomProfile(1, 6, 4, 3, 1), RandomProfile(2, 4, 4, 3, 1),

@@ -164,6 +164,27 @@ def test_is_identity_matches_fixed_chunk_scan(fam, P):
     assert ring.is_identity(P) == _fixed_chunk_scan(ring, P)
 
 
+@pytest.mark.parametrize("fam,P", SCAN_CASES, ids=[
+    "%r-%d" % (fam, i) for i, (fam, _) in enumerate(SCAN_CASES)])
+def test_holds_matches_is_identity(fam, P):
+    ring = make_ring(fam)
+    assert ring.holds(P) == (ring.is_identity(P) is True)
+
+
+def test_holds_scans_linear_variables_over_the_basis(monkeypatch):
+    # [X,Y] is linear in both variables: 15^2 basis pairs, no 5^15-row
+    # element array
+    ring = make_ring(TruncFree(5, 4))
+
+    def no_elements(self):
+        raise AssertionError("element array built")
+
+    monkeypatch.setattr(TabledRing, "elements", no_elements)
+    assert ring.holds(C(X, Y)) is False
+    with pytest.raises(ResourceLimitError):
+        ring.holds(X * X * Y)
+
+
 def test_elements_match_element_from_index():
     ring = make_ring(TruncFree(2, 3))
     assert [tuple(map(int, row)) for row in ring.elements()] == [

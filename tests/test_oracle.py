@@ -2,7 +2,7 @@ import json
 import os
 
 from commforce.decide import IdentitySet, Verdict, decide_all, decide_Ap
-from commforce.finitering import TruncFree, Up
+from commforce.finitering import TruncFree, Up, make_ring
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import (RandomProfile, SearchBounds, cross_validate,
                               identity_digest, random_identities,
@@ -29,6 +29,16 @@ def test_search_empty_for_quartic_with_skips():
     assert res.family is None
     # the 3^7-element truncated algebra exceeds the small eval cap
     assert TruncFree(3, 3) in res.skipped
+
+
+def test_cross_validate_rejects_commutative_tabled_witness():
+    # TruncFree(2, 2) is commutative, so it satisfies [X,Y] but is no
+    # witness
+    ids = IdentitySet(2, (commutator(X, Y),))
+    fam = TruncFree(2, 2)
+    rep = cross_validate(ids, Verdict("witness", prime=2, family=fam,
+                                      witness=make_ring(fam)), SMALL)
+    assert not rep.agree
 
 
 def test_cross_validate_agrees_on_both_examples():
