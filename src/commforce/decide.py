@@ -625,23 +625,10 @@ def _central_form(P):
     """The univariate Q with P = Q(X)Y - YQ(X), if P has that shape."""
     if P.variables() != [1, 2]:
         return None
-    left = {}
-    for w, c in P.terms.items():
-        if not w:
-            return None
-        if w == (2,):
-            return None
-        if w[-1] == 2 and all(x == 1 for x in w[:-1]):
-            left[len(w) - 1] = c
-        elif w[0] == 2 and all(x == 1 for x in w[1:]):
-            continue
-        else:
-            return None
-    Q = NcPoly({(1,) * k: c for k, c in left.items()})
+    Q = NcPoly({w[:-1]: c for w, c in P.terms.items()
+                if w[-1:] == (2,) and 2 not in w[:-1]})
     Y = NcPoly.var(2)
-    if Q * Y - Y * Q == P:
-        return Q
-    return None
+    return Q if Q * Y - Y * Q == P else None
 
 
 def _fast_path(ids, options):

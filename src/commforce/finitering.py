@@ -1,15 +1,17 @@
 """Finite fields and tabled finite rings.
 
-A TabledRing is a free Z/char-module with a structure-constant
-multiplication table; elements are coefficient tuples.  Constructors
-cover the witness families used by the decision procedures: 2x2 upper
-triangular matrices over F_p, the Frobenius-twisted rings over F_{p^n},
-matrix rings, truncated free algebras and the 4-dimensional minimal
-ring for multilinear identities.  Identity checking over all tuples is
-batched with numpy and runs in lexicographic order, in batches that grow
-from 256 to 65536 tuples, so a failing identity stops after the batch
-that holds its first counterexample; ``holds`` lets each variable that
-occurs exactly once in every word range over the basis only.
+A TabledRing is a free Z/char-module with structure constants
+e_i e_j = sum_k c e_k; elements are coefficient tuples.  Every product
+adds c a_i b_j into coordinate k over the nonzero constants only, on
+column-major batches.  Constructors cover the witness families used by
+the decision procedures: 2x2 upper triangular matrices over F_p, the
+Frobenius-twisted rings over F_{p^n}, matrix rings, truncated free
+algebras and the 4-dimensional minimal ring for multilinear identities.
+Identity checks run over all tuples in lexicographic order, in numpy
+batches that grow from 256 to 65536 tuples, so a failing identity stops
+after the batch that holds its first counterexample; ``holds`` lets
+each variable that occurs exactly once in every word range over the
+basis only.
 """
 
 from dataclasses import dataclass
@@ -223,6 +225,18 @@ class TabledRing:
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("bad table shape")
         self._check_axioms()
+        # the nonzero structure constants e_i e_j = ... + c e_k as
+        # (i, j, k, c, start, fold): row k's first term starts out[k],
+        # fold reduces out[k] before a term that could pass 2^63
+        top = (char - 1) ** 2
+        bound = {}
+        self._terms = []
+        for i, j, k in np.argwhere(self.table).tolist():
+            start = k not in bound
+            fold = not start and bound[k] + top >= 1 << 63
+            bound[k] = (0 if start else char - 1 if fold else bound[k]) + top
+            self._terms.append((i, j, k, int(self.table[i, j, k]), start, fold))
+        self._idle = [k for k in range(self.dim) if k not in bound]
 
     @property
     def size(self):
@@ -245,9 +259,9 @@ class TabledRing:
         return tuple((x + y) % self.char for x, y in zip(a, b))
 
     def mul(self, a, b):
-        v = np.einsum("i,j,ijk->k", np.array(a, dtype=np.int64),
-                      np.array(b, dtype=np.int64), self.table) % self.char
-        return tuple(int(x) for x in v)
+        A, Bm = (np.array(x, dtype=np.int64)[:, None] % self.char
+                 for x in (a, b))
+        return tuple(int(x) for x in self._mul_batch(A, Bm)[:, 0])
 
     def scalar(self, c):
         return tuple(int(x) for x in (c * self.one) % self.char)
@@ -261,12 +275,8 @@ class TabledRing:
     def elements(self):
         """All ring elements as a (size, dim) array; row i is
         element_from_index(i)."""
-        rest = np.arange(self.size, dtype=np.int64)
-        elems = np.empty((self.size, self.dim), dtype=np.int64)
-        for i in range(self.dim - 1, -1, -1):
-            elems[:, i] = rest % self.char
-            rest //= self.char
-        return elems
+        shape = (self.char,) * self.dim
+        return np.indices(shape, dtype=np.int64).reshape(self.dim, -1).T
 
     def element_from_index(self, idx):
         """Mixed-radix decode; index order equals lexicographic order on
@@ -284,35 +294,50 @@ class TabledRing:
             raise ValueError("tuple arity %d < variables in P" % len(tup))
         if P.modulus is not None and self.char % P.modulus != 0 and P.modulus % self.char != 0:
             raise ValueError("modulus incompatible with ring characteristic")
-        acc = self.zero()
-        for w, c in P.terms.items():
-            v = self.scalar(1)
-            for letter in w:
-                v = self.mul(v, tup[letter - 1])
-            acc = self.add(acc, tuple((c * x) % self.char for x in v))
-        return acc
+        rows = [np.array([t], dtype=np.int64) % self.char for t in tup]
+        return tuple(int(x) for x in self.eval_batch(P, rows)[0])
 
     def _mul_batch(self, A, Bm):
-        # (N,d) x (N,d) -> (N,d) through the structure constants
-        d = self.dim
-        tmp = A @ self.table.reshape(d, d * d)
-        tmp %= self.char
-        out = np.einsum("njk,nj->nk", tmp.reshape(-1, d, d), Bm)
-        return out % self.char
+        """Products of reduced column-major (dim, N) arrays: c a_i b_j
+        added into coordinate k over the nonzero structure constants."""
+        char = self.char
+        out = np.empty_like(A)
+        out[self._idle] = 0
+        for i, j, k, c, start, fold in self._terms:
+            row = out[k]
+            t = np.multiply(A[i], Bm[j], out=row if start else None)
+            if c != 1:
+                t %= char
+                t *= c
+            if fold:
+                row %= char
+            if not start:
+                row += t
+        out %= char
+        return out
 
     def eval_batch(self, P, columns):
         """Evaluate P at many tuples at once.  ``columns`` is a list of
-        (N, dim) arrays, one per variable; returns an (N, dim) array."""
+        reduced (N, dim) arrays, one per variable; returns an (N, dim)
+        array."""
         N = columns[0].shape[0] if columns else 1
-        cache = {(): np.repeat(self.one[None, :], N, axis=0)}
-        acc = np.zeros((N, self.dim), dtype=np.int64)
+        cols = [np.ascontiguousarray(col.T, dtype=np.int64) for col in columns]
+        # products of the prefixes of P's words, a letter being its column
+        cache = {(v,): col for v, col in enumerate(cols, 1)}
+        cache[()] = np.broadcast_to(self.one[:, None], (self.dim, N))
+        acc = np.zeros((self.dim, N), dtype=np.int64)
+        # at a large char the sum of the terms could pass 2^63
+        fold = len(P.terms) * (self.char - 1) ** 2 >= 1 << 63
         for w, c in P.terms.items():
-            for i in range(1, len(w) + 1):
+            for i in range(2, len(w) + 1):
                 if w[:i] not in cache:
                     cache[w[:i]] = self._mul_batch(cache[w[:i - 1]],
-                                                   columns[w[i - 1] - 1])
+                                                   cols[w[i - 1] - 1])
             acc += (c % self.char) * cache[w]
-        return acc % self.char
+            if fold:
+                acc %= self.char
+        acc %= self.char
+        return acc.T
 
     def _scan(self, P, linear, eval_cap):
         """The first tuple in lexicographic order at which P does not
@@ -326,7 +351,8 @@ class TabledRing:
         if total > eval_cap:
             raise ResourceLimitError("exhaustive-eval", eval_cap,
                                      "%d tuples on %r" % (total, self.family))
-        elems = self.elements() if len(linear) < s else None
+        # gathered column-major, so eval_batch takes the columns as is
+        elems = self.elements().T if len(linear) < s else None
         basis = np.eye(self.dim, dtype=np.int64)
         tables = [basis if v in linear else elems for v in range(1, s + 1)]
         lo, step = 0, _FIRST_BATCH
@@ -335,7 +361,7 @@ class TabledRing:
             rest = np.arange(lo, hi, dtype=np.int64)
             columns = []
             for table, r in zip(reversed(tables), reversed(radix)):
-                columns.append(table[rest % r])
+                columns.append(table[:, rest % r].T)
                 rest = rest // r
             columns.reverse()
             bad = np.nonzero(self.eval_batch(P, columns).any(axis=1))[0]
@@ -360,13 +386,13 @@ class TabledRing:
         return self._scan(P, linear, eval_cap) is None
 
     def is_commutative(self):
-        """True, or a pair of basis elements (a, b) with ab != ba."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if not np.array_equal(self.table[i, j] % self.char,
-                                      self.table[j, i] % self.char):
-                    return self.basis_element(i), self.basis_element(j)
-        return True
+        """True, or the first pair of basis elements (a, b) in
+        lexicographic order with ab != ba."""
+        T = self.table
+        pairs = np.argwhere((T != T.transpose(1, 0, 2)).any(axis=2))
+        if not len(pairs):
+            return True
+        return tuple(self.basis_element(int(i)) for i in pairs[0])
 
     def describe(self, element):
         parts = []
@@ -404,7 +430,6 @@ def _make_up(p):
 
 def _make_b(p, n, l):
     fq = Fq(p, n)
-    d = 2 * n
     labels = ["x*t^%d" % i for i in range(n)] + ["y*t^%d" % i for i in range(n)]
     basis_fq = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
 

@@ -4,9 +4,9 @@ Univariate identities, central univariate identities [Q(X),Y] = 0,
 power identities (XY)^n = X^n Y^n, freshman identities
 (X+Y)^n = X^n + Y^n and sets of homogeneous multilinear identities all
 admit complete arithmetic criteria.  This module implements them,
-always returning a verified finite witness or None (meaning the shape
-forces commutativity), together with a certification routine for
-identities of the four-dimensional minimal witness ring.
+always returning a finite witness accepted by ``decide.verify`` or None
+(meaning the shape forces commutativity), together with a certification
+routine for identities of the four-dimensional minimal witness ring.
 """
 
 from dataclasses import dataclass
@@ -19,6 +19,9 @@ from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
 from .decide import IdentitySet, verify
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
+
+X = NcPoly.var(1)
+Y = NcPoly.var(2)
 
 
 def _prime_divisors(N):
@@ -95,8 +98,7 @@ def univariate_decide(P):
         raise ValueError("univariate polynomial required")
     Q = abelianize(P, 1)
     if Q.is_zero():
-        ring = make_ring(Up(2))
-        return (2, ring)
+        return _verified(2, make_ring(Up(2)), [P])
     # a witness prime makes Q vanish on F_p, so it divides every value
     for p in _prime_divisors(value_gcd([Q])):
         if univariate_membership(Q, "sq", p):
@@ -106,20 +108,10 @@ def univariate_decide(P):
     return None
 
 
-def _central_verify(ring, Q):
-    """Exhaustively check that Q(x) is central for every ring element,
-    batching over the whole ring at once."""
-    import numpy as np
-    vals = ring.eval_batch(Q, [ring.elements()])
-    T = ring.table
-    left = np.einsum("nj,ijk->nik", vals, T) % ring.char
-    right = np.einsum("nj,jik->nik", vals, T) % ring.char
-    return np.array_equal(left, right)
-
-
 def central_decide(Q):
     """Witness (p, ring) for the identity [Q(X), Y] = 0, with the
-    truncated free algebra F_p{u,v}/(u,v)^3, or None."""
+    truncated free algebra F_p{u,v}/(u,v)^3 accepted by
+    ``decide.verify`` for Q Y - Y Q, or None."""
     vs = Q.variables()
     if any(v != 1 for v in vs):
         raise ValueError("univariate polynomial required")
@@ -130,9 +122,9 @@ def central_decide(Q):
     N = value_gcd([dQ])
     for p in _prime_divisors(N) if N else [2]:
         if dQ.is_zero() or univariate_membership(dQ, "lin", p):
-            ring = make_ring(TruncFree(p, 3))
-            if _central_verify(ring, Q):
-                return (p, ring)
+            hit = _verified(p, make_ring(TruncFree(p, 3)), [Q * Y - Y * Q])
+            if hit:
+                return hit
     return None
 
 
@@ -159,11 +151,8 @@ def power_identity_decide(exponents):
     if g == 1:
         return None
     p = _prime_divisors(g)[0]
-    X = NcPoly.var(1)
-    Y = NcPoly.var(2)
-    n0 = S[0]
     return _verified(p, make_ring(TruncFree(p, 3)),
-                     [(X * Y) ** n0 - X ** n0 * Y ** n0])
+                     [(X * Y) ** n - X ** n * Y ** n for n in S])
 
 
 def freshman_decide(exponents):
@@ -172,8 +161,6 @@ def freshman_decide(exponents):
     S = sorted(set(exponents))
     if not S or min(S) < 2:
         raise ValueError("exponents must be >= 2")
-    X = NcPoly.var(1)
-    Y = NcPoly.var(2)
     # n >= 2 is a power of at most one prime, so one p at most qualifies
     for p in _primes_upto(max(S)):
         if all(p ** _vp(n, p) == n and (p > 2 or n >= 4) for n in S):

@@ -197,19 +197,23 @@ def test_cli_resource_limit_exit_3(tmp_path, capsys):
 BIG = "2305843009213693951"   # 2^61 - 1, prime, beyond trial division
 
 
-@pytest.mark.parametrize("argv", [
-    ["decide", "%(big)s"],
-    ["decide", "--no-fast-path", "%(big)s"],
-    ["univariate", BIG + "*X"],
-    ["central", BIG + "*X^2"],
-    ["power", "--set", "4611686014132420609"],
-])
-def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv):
+HUGE = [
+    (["decide", "%(big)s"], "characteristic-factoring"),
+    (["decide", "--no-fast-path", "%(big)s"], "characteristic-factoring"),
+    (["univariate", BIG + "*X"], "characteristic-factoring"),
+    (["central", BIG + "*X^2"], "characteristic-factoring"),
+    (["power", "--set", "4611686014132420609"], "characteristic-factoring"),
+    (["central", "X^11"], "exhaustive-eval"),
+]
+
+
+@pytest.mark.parametrize("argv,stage", HUGE,
+                         ids=["argv%d" % i for i in range(len(HUGE))])
+def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv, stage):
     big = write(tmp_path, "big.ids", "vars X Y\nid %s*[X,Y]\n" % BIG)
     assert main([a % {"big": big} for a in argv] + ["--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
-    assert (doc["verdict"], doc["stage"]) == \
-        ("limit", "characteristic-factoring")
+    assert (doc["verdict"], doc["stage"]) == ("limit", stage)
 
 
 @pytest.mark.parametrize("argv", [

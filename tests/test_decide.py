@@ -214,6 +214,13 @@ def test_fast_path_consistency():
             assert fast.prime == slow.prime
 
 
+def test_central_fast_path_reports_eval_limit():
+    # TruncFree(11,3) has 11^7 elements: the witness check stops at the
+    # tuple count before it allocates anything
+    v = decide_all(ids(commutator(X ** 11, Y)))
+    assert (v.kind, v.stage) == ("limit", "exhaustive-eval")
+
+
 def test_eval_cap_surfaces_as_limit():
     opts = DecideOptions(eval_cap=4, fast_paths=False)
     with pytest.raises(ResourceLimitError):

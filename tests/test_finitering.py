@@ -220,3 +220,76 @@ def test_is_identity_early_failure_stops_in_first_batch(monkeypatch):
     rows.clear()
     assert ring.is_identity(X * C(Y, Z)) is not True  # first failure at 177399
     assert max(rows) <= finitering._CHUNK
+
+
+BIG_CHAR = 1073741789   # the largest prime below 2^30
+
+
+def _minus_e_ring():
+    # e*e = (char-1)*e = -e
+    return TabledRing(BIG_CHAR, ["1", "e"], [1, 0],
+                      [[[1, 0], [0, 1]], [[0, 1], [0, BIG_CHAR - 1]]], None)
+
+
+def test_mul_batch_exact_at_large_char():
+    # scaling an unreduced a*b by char-1 would pass 2^63
+    char, ring = BIG_CHAR, _minus_e_ring()
+    a, b = (3, char - 2), (1, char - 7)
+    ref = [a[0] * b[0] % char,
+           (a[0] * b[1] + a[1] * b[0] + (char - 1) * a[1] * b[1]) % char]
+    got = ring.eval_batch(X * Y, [np.array([a]), np.array([b])])
+    assert [int(x) for x in got[0]] == ref
+
+
+def test_eval_exact_at_large_char():
+    # every word is -e at X = Y = -e, so nine terms (char-1)*w sum to
+    # 9e; unreduced, their sum would pass 2^63
+    char, ring = BIG_CHAR, _minus_e_ring()
+    words = [(1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1),
+             (1, 1, 2), (1, 2, 1)]
+    P = NcPoly({w: char - 1 for w in words})
+    assert ring.eval(P, ((0, char - 1), (0, char - 1))) == (0, 9)
+
+
+def test_mul_exact_at_large_char():
+    # in Z/char[t]/(t^9) nine products a_i b_(8-i) land in coordinate
+    # 8; at char near 2^30 their unreduced sum would pass 2^63
+    char, n = BIG_CHAR, 9
+    table = [[[int(i + j == k) for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    ring = TabledRing(char, ["t^%d" % i for i in range(n)],
+                      [1] + [0] * (n - 1), table, None)
+    a = tuple(char - 1 - i for i in range(n))
+    b = tuple(char - 2 - 3 * i for i in range(n))
+    ref = tuple(sum(a[i] * b[k - i] for i in range(k + 1)) % char
+                for k in range(n))
+    assert ring.mul(a, b) == ref
+    got = ring.eval_batch(X * Y, [np.array([a]), np.array([b])])
+    assert tuple(int(x) for x in got[0]) == ref
+
+
+def _dense_product(ring, A, Bm):
+    # the former product: a dense (N,d) x (d,d*d) matmul, reduced, then
+    # contracted with the right factor
+    d = ring.dim
+    tmp = A @ ring.table.reshape(d, d * d)
+    tmp %= ring.char
+    out = np.einsum("njk,nj->nk", tmp.reshape(-1, d, d), Bm)
+    return out % ring.char
+
+
+# B(3,3,1) and Mat(2,3,2) have structure constants c = 2
+PRODUCT_FAMILIES = sorted({fam for fam, _ in SCAN_CASES}, key=repr) + [
+    B(3, 3, 1), Mat(2, 2, 2), Mat(2, 3, 2)]
+
+
+@pytest.mark.parametrize("fam", PRODUCT_FAMILIES, ids=repr)
+def test_product_matches_dense_product(fam):
+    ring = make_ring(fam)
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, ring.char, (500, ring.dim))
+    Bm = rng.integers(0, ring.char, (500, ring.dim))
+    ref = _dense_product(ring, A, Bm)
+    assert np.array_equal(ring.eval_batch(X * Y, [A, Bm]), ref)
+    for a, b, r in zip(A[:50], Bm[:50], ref):
+        assert ring.mul(tuple(a), tuple(b)) == tuple(int(x) for x in r)

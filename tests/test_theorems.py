@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from commforce import theorems
 from commforce.decide import DecideOptions, IdentitySet, decide_all
 from commforce.finitering import MinRing, TruncFree, Up, make_ring
 from commforce.freealg import NcPoly, commutator
@@ -91,6 +92,19 @@ def test_power_identity():
     assert hit is not None and hit[0] == 3
     hit = power_identity_decide({3, 5})
     assert hit is None  # C(3,2)=3, C(5,2)=10 are coprime
+
+
+def test_power_identity_verifies_every_exponent(monkeypatch):
+    seen = []
+
+    def recording(ring, ids, options=None):
+        seen.append(ids)
+        return True
+
+    monkeypatch.setattr(theorems, "verify", recording)
+    assert power_identity_decide({3, 4}) is not None
+    assert [set(ids.polys) for ids in seen] == [
+        {(X * Y) ** n - X ** n * Y ** n for n in (3, 4)}]
 
 
 def test_freshman():
