@@ -45,6 +45,7 @@ class ParseError(Exception):
 # tokenizer and expression parser
 
 _SYMBOLS = "+-*^()[],="
+_DIGITS = "0123456789"   # str.isdigit also admits e.g. superscripts
 
 
 def _tokenize(text, line_no):
@@ -60,9 +61,9 @@ def _tokenize(text, line_no):
         if ch == "#":
             break
         col = i + 1
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("int", int(text[i:j]), col))
             i = j

@@ -2,10 +2,11 @@
 
 Provides the pieces of commutative machinery the decision procedures
 need: Cartier operators splitting a mod-p polynomial along p-th power
-blocks, normal forms modulo field ideals (p, X_i^q - X_i), the gcd of
-a polynomial's values at integer points (which bounds the
-characteristic of any model), factoring under a step budget, and
-univariate division tests modulo (p, X^p - X) and (p, (X^p - X)^2).
+blocks, normal forms modulo field ideals (p, X_i^q - X_i), division by
+one generator X_i^p - X_i, the gcd of a polynomial's values at integer
+points (which bounds the characteristic of any model), factoring under
+a step budget, and univariate membership in (p, X^p - X) and
+(p, (X^p - X)^2) built from those normal forms.
 """
 
 from functools import lru_cache
@@ -225,6 +226,26 @@ def field_ideal_normal_form(P, p, n):
     return CPoly(t, P.nvars, p)
 
 
+def field_ideal_divmod(Q, i, p):
+    """(A, R) with Q = (X_i^p - X_i) * A + R over F_p and
+    deg_{X_i} R < p: the division by one field-ideal generator.
+
+    Term by term, X^d = (X^p - X) * sum_q X^q + X^r with r the exponent
+    field_ideal_normal_form keeps and q running from r - 1 up to d - p
+    in steps of p - 1 (the sum telescopes).
+    """
+    quo, rem = {}, {}
+    for e, c in Q.terms.items():
+        d = e[i - 1]
+        r = (d - 1) % (p - 1) + 1 if d else 0
+        key = e[:i - 1] + (r,) + e[i:]
+        rem[key] = rem.get(key, 0) + c
+        for q in range(r - 1, d - p + 1, p - 1):
+            key = e[:i - 1] + (q,) + e[i:]
+            quo[key] = quo.get(key, 0) + c
+    return CPoly(quo, Q.nvars, p), CPoly(rem, Q.nvars, p)
+
+
 def value_gcd(polys):
     """gcd of the values of integer polynomials at all integer points;
     0 when every polynomial vanishes.
@@ -246,36 +267,6 @@ def value_gcd(polys):
     return g
 
 
-def univariate_divrem(P, M, p):
-    """Division with remainder in F_p[X]: P = Q*M + R, deg R < deg M.
-    P, M are univariate CPoly; M must have an invertible leading
-    coefficient mod p.  Returns (Q, R) mod p."""
-    if P.nvars != 1 or M.nvars != 1:
-        raise ValueError("univariate polynomials required")
-    rem = {e[0]: c % p for e, c in P.terms.items() if c % p}
-    md = max(e[0] for e in M.terms if M.terms[e] % p)
-    mlead = M.terms[(md,)] % p
-    minv = pow(mlead, -1, p)
-    mco = {e[0]: c % p for e, c in M.terms.items() if c % p}
-    quo = {}
-    while rem:
-        d = max(rem)
-        if d < md:
-            break
-        f = (rem[d] * minv) % p
-        quo[d - md] = (quo.get(d - md, 0) + f) % p
-        for me, mc in mco.items():
-            k = d - md + me
-            v = (rem.get(k, 0) - f * mc) % p
-            if v:
-                rem[k] = v
-            elif k in rem:
-                del rem[k]
-    Q = CPoly({(e,): c for e, c in quo.items()}, 1, p)
-    R = CPoly({(e,): c for e, c in rem.items()}, 1, p)
-    return Q, R
-
-
 def univ(coeffs, modulus=None):
     """Univariate CPoly from {degree: coefficient}."""
     return CPoly({(d,): c for d, c in coeffs.items()}, 1, modulus)
@@ -283,13 +274,14 @@ def univ(coeffs, modulus=None):
 
 def univariate_membership(P, kind, p):
     """Membership of a univariate integer polynomial in (p, X^p - X)
-    (kind='lin') or (p, (X^p - X)^2) (kind='sq')."""
+    (kind='lin') or (p, (X^p - X)^2) (kind='sq'): the remainder by
+    X^p - X vanishes, and for 'sq' so does the quotient mod X^p - X."""
     if P.nvars != 1:
         raise ValueError("univariate polynomial required")
-    base = univ({p: 1, 1: -1})
-    M = base if kind == "lin" else base * base
-    _, R = univariate_divrem(P, M, p)
-    return R.is_zero()
+    if kind == "lin":
+        return field_ideal_normal_form(P, p, 1).is_zero()
+    Q, R = field_ideal_divmod(P, 1, p)
+    return R.is_zero() and field_ideal_normal_form(Q, p, 1).is_zero()
 
 
 def trial_factor(N, step_budget=10 ** 7):

@@ -23,6 +23,9 @@ from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
 from .gsb import CompletionLimits, complete, is_commutative_presentation
 
 
+MAX_NORMAL_WORDS = 5000   # normal words a specialization scan may use
+
+
 # ---------------------------------------------------------------------------
 # inputs and outputs
 
@@ -108,7 +111,6 @@ class DecideOptions:
     eval_cap: int = 10 ** 7
     gsb_limits: CompletionLimits = field(default_factory=CompletionLimits)
     max_specializations: int = 200000
-    max_normal_words: int = 5000
     fast_paths: bool = True
 
 
@@ -382,7 +384,7 @@ def _ap_flat(ids, prime, options, plan):
     return None
 
 
-def _normal_words(basis, at, p, a, cap):
+def _normal_words(basis, at):
     """Words of length < at with nonzero residue range modulo the
     basis, paired with that range p^e.  Breadth-first, lexicographic."""
     out = []
@@ -390,12 +392,13 @@ def _normal_words(basis, at, p, a, cap):
     while frontier:
         nxt = []
         for w in frontier:
-            e = min([h.lead_exp for h, _ in basis.reducers(w)], default=a)
+            e = min([h.lead_exp for h, _ in basis.reducers(w)],
+                    default=basis.a)
             if e == 0:
                 continue
-            out.append((w, p ** e))
-            if len(out) > cap:
-                raise ResourceLimitError("normal-words", cap,
+            out.append((w, basis.p ** e))
+            if len(out) > MAX_NORMAL_WORDS:
+                raise ResourceLimitError("normal-words", MAX_NORMAL_WORDS,
                                          "quotient span too large")
             if len(w) + 1 < at:
                 nxt.extend(w + (z,) for z in (1, 2))
@@ -476,8 +479,7 @@ def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     Returns the first nonzero normal form (None when all vanish) with
     the running specialization count, which starts at ``spent``; past
     the cap the scan stops with a limit carrying ``detail``."""
-    normal = _normal_words(basis, scan_length, basis.p, basis.a,
-                           options.max_normal_words)
+    normal = _normal_words(basis, scan_length)
     space = _AssignmentSpace(normal, options.max_specializations)
     s = ids.nvars
     for total in range(space.max_cost * s + 1):

@@ -1,12 +1,22 @@
 """Arithmetic in the free associative algebra Z{X_1,...,X_s}.
 
 Words are tuples of 1-based variable indices; polynomials map words to
-integer (or modular) coefficients.  The module also provides the two
-normal forms modulo powers of the commutator ideal that the decision
-procedures consume: a sum of sandwiched commutators A*[X_i,X_j]*C
-(valid mod J^2, where J is the commutator ideal) and the flattened
-version H + sum A_{i,j}*[X_i,X_j] (valid mod J^2 + [[J],X_k]).
+integer (or modular) coefficients.  Products and powers that would
+expand past a fixed budget raise a ResourceLimitError at stage
+``expansion`` instead of exhausting memory or time.  The module also
+provides the two normal forms modulo powers of the commutator ideal
+that the decision procedures consume, both read off one straightening
+pass: a sum of sandwiched commutators A*[X_i,X_j]*C (valid mod J^2,
+where J is the commutator ideal) and the flattened version
+H + sum A_{i,j}*[X_i,X_j] (valid mod J^2 + [[J],X_k]).
 """
+
+from .errors import ResourceLimitError
+
+# expansion budget: term pairs in one product, and degree of a power
+MAX_TERM_PAIRS = 2 ** 16
+MAX_POWER_DEGREE = 1000
+
 
 def deglex_key(word):
     """Sort key realizing degree-lexicographic order on words."""
@@ -92,6 +102,10 @@ class NcPoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > MAX_TERM_PAIRS:
+            raise ResourceLimitError("expansion", MAX_TERM_PAIRS,
+                                     "%d term pairs in a product" % pairs)
         t = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -107,6 +121,11 @@ class NcPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative exponent")
+        # a constant still costs k multiplications, so it counts as degree 1
+        d = k * max(self.degree(), 1)
+        if d > MAX_POWER_DEGREE:
+            raise ResourceLimitError("expansion", MAX_POWER_DEGREE,
+                                     "power of degree %d" % d)
         out = NcPoly.const(1, self.modulus)
         for _ in range(k):
             out = out * self
@@ -262,8 +281,9 @@ class CaseIForm:
     """P == bar + sum_k A_k*[X_i,X_j]*C_k modulo J^2.
 
     ``comm_terms`` is a list of records (i, j, A, C) with i < j; for a
-    fixed pair (i, j) the A's are linearly independent over Z and so
-    are the C's.
+    fixed pair (i, j) the A's are distinct words, while the C's need
+    not be independent.  Every consumer is bilinear in (A, C), so only
+    sum_k A_k (x) C_k matters.
     """
 
     def __init__(self, bar, comm_terms):
@@ -298,7 +318,7 @@ class ApForm:
 
 def _straighten_collect(P):
     """Straighten P, collecting one sandwich A-word [X_i,X_j] C-word per
-    transposition.  Returns (bar, {(i,j): {(Aword, Cword): coeff}}).
+    transposition.  Returns (bar, {(i,j): {Aword: {Cword: coeff}}}).
 
     Uses X_a X_b = X_b X_a - [X_b, X_a] for a > b at the leftmost
     out-of-order position; the sandwich sides are themselves letter
@@ -321,94 +341,28 @@ def _straighten_collect(P):
             continue
         a, b = w[pos], w[pos + 1]
         pending.append((w[:pos] + (b, a) + w[pos + 2:], c))
-        key = (b, a)
-        block = comm.setdefault(key, {})
-        sandwich = (tuple(sorted(w[:pos])), tuple(sorted(w[pos + 2:])))
-        block[sandwich] = block.get(sandwich, 0) - c
+        aw, cw = tuple(sorted(w[:pos])), tuple(sorted(w[pos + 2:]))
+        row = comm.setdefault((b, a), {}).setdefault(aw, {})
+        row[cw] = row.get(cw, 0) - c
     return bar_terms, comm
-
-
-def integer_rank_factorization(M):
-    """Factor an integer matrix M (list of rows) as L*R with L having
-    independent columns and R independent rows, all entries integral.
-
-    Row-reduces M to an echelon form H by unimodular operations while
-    maintaining M = U*H; the columns of U at the pivot rows of H give L
-    and the nonzero rows of H give R.
-    """
-    r = len(M)
-    c = len(M[0]) if r else 0
-    H = [list(row) for row in M]
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def row_op(i, j, t):
-        # H_i -= t*H_j  ==>  U col_j += t*col_i
-        for k in range(c):
-            H[i][k] -= t * H[j][k]
-        for k in range(r):
-            U[k][j] += t * U[k][i]
-
-    def row_swap(i, j):
-        H[i], H[j] = H[j], H[i]
-        for k in range(r):
-            U[k][i], U[k][j] = U[k][j], U[k][i]
-
-    piv = 0
-    for col in range(c):
-        if piv >= r:
-            break
-        # gcd-eliminate everything below row piv in this column
-        while True:
-            rows = [i for i in range(piv, r) if H[i][col]]
-            if not rows:
-                break
-            best = min(rows, key=lambda i: abs(H[i][col]))
-            done = True
-            for i in rows:
-                if i == best:
-                    continue
-                t = H[i][col] // H[best][col]
-                row_op(i, best, t)
-                if H[i][col]:
-                    done = False
-            if done:
-                if best != piv:
-                    row_swap(best, piv)
-                break
-        if H[piv][col] if piv < r else 0:
-            if H[piv][col] < 0:
-                for k in range(c):
-                    H[piv][k] = -H[piv][k]
-                for k in range(r):
-                    U[k][piv] = -U[k][piv]
-            piv += 1
-    L = [[U[i][k] for k in range(piv)] for i in range(r)]
-    R = [H[k] for k in range(piv)]
-    return L, R
 
 
 def reduce_caseI(P):
     """Normal form of P modulo J^2 as bar + sum A*[X_i,X_j]*C.
 
-    Per commutator pair the sandwich coefficients are condensed to
-    linearly independent A and C families by exact integer row
-    reduction.
+    One record per commutator pair and letter-sorted left sandwich
+    word: A is that word with coefficient 1, and C collects its right
+    sandwiches with their coefficients.
     """
     bar_terms, comm = _straighten_collect(P)
-    bar = NcPoly(bar_terms, P.modulus)
     records = []
     for (i, j) in sorted(comm):
-        block = comm[(i, j)]
-        a_words = sorted({aw for (aw, _) in block}, key=deglex_key)
-        c_words = sorted({cw for (_, cw) in block}, key=deglex_key)
-        M = [[block.get((aw, cw), 0) for cw in c_words] for aw in a_words]
-        L, R = integer_rank_factorization(M)
-        for k in range(len(R)):
-            A = NcPoly({aw: L[r][k] for r, aw in enumerate(a_words) if L[r][k]}, P.modulus)
-            C = NcPoly({cw: R[k][s] for s, cw in enumerate(c_words) if R[k][s]}, P.modulus)
-            if not (A.is_zero() or C.is_zero()):
-                records.append((i, j, A, C))
-    return CaseIForm(bar, records)
+        rows = comm[(i, j)]
+        for aw in sorted(rows, key=deglex_key):
+            C = NcPoly(rows[aw], P.modulus)
+            if not C.is_zero():
+                records.append((i, j, NcPoly.from_word(aw, 1, P.modulus), C))
+    return CaseIForm(NcPoly(bar_terms, P.modulus), records)
 
 
 def reduce_Ap(P):

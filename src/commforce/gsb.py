@@ -30,10 +30,13 @@ from .errors import ResourceLimitError
 from .freealg import NcPoly, deglex_key
 
 
+# fixed caps of a completion; only its step count is configurable
+MAX_BASIS_SIZE = 20000
+MAX_DEGREE = 40
+
+
 @dataclass
 class CompletionLimits:
-    max_basis_size: int = 20000
-    max_degree: int = 40
     max_steps: int = 10 ** 6
 
 
@@ -287,8 +290,8 @@ def complete(generators, p, a, limits=None):
         if not red:
             continue
         g = GsPoly(red, p, a)
-        if len(g.lead_word) > limits.max_degree:
-            fail("max_degree", limits.max_degree)
+        if len(g.lead_word) > MAX_DEGREE:
+            fail("max_degree", MAX_DEGREE)
         keep = []
         for b in basis:
             if g.lead_exp <= b.lead_exp and g.lead_key in b.lead_key:
@@ -297,8 +300,8 @@ def complete(generators, p, a, limits=None):
                 keep.append(b)
         basis = keep
         basis.append(g)
-        if len(basis) > limits.max_basis_size:
-            fail("max_basis_size", limits.max_basis_size)
+        if len(basis) > MAX_BASIS_SIZE:
+            fail("max_basis_size", MAX_BASIS_SIZE)
         if g.lead_exp >= 1:
             # coefficient composition: the multiple killing the lead
             scaled = {w: (c * p ** (a - g.lead_exp)) % m for w, c in g.terms.items()}

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd
 
-from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
-                      is_prime, prime_factorization, univ,
-                      univariate_membership, value_gcd)
+from .commalg import (CPoly, _vp, field_ideal_divmod,
+                      field_ideal_normal_form, is_prime, prime_factorization,
+                      univ, univariate_membership, value_gcd)
 from .decide import IdentitySet, verify
 from .finitering import MinRing, TruncFree, Up, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
@@ -157,16 +157,18 @@ def power_identity_decide(exponents):
 
 def freshman_decide(exponents):
     """Witness for (X+Y)^n = X^n + Y^n, n over the given set, or None.
-    Requires every n to be a power of one prime p, all >= 4 when p = 2."""
+    Requires every n to be a power of one prime p, all >= 4 when p = 2;
+    that p can only be the one prime factor of min(S)."""
     S = sorted(set(exponents))
     if not S or min(S) < 2:
         raise ValueError("exponents must be >= 2")
-    # n >= 2 is a power of at most one prime, so one p at most qualifies
-    for p in _primes_upto(max(S)):
-        if all(p ** _vp(n, p) == n and (p > 2 or n >= 4) for n in S):
-            return _verified(p, make_ring(TruncFree(p, 3)),
-                             [(X + Y) ** n - X ** n - Y ** n for n in S])
-    return None
+    ps = _prime_divisors(S[0])
+    p = ps[0]
+    if len(ps) > 1 or not all(p ** _vp(n, p) == n and (p > 2 or n >= 4)
+                              for n in S):
+        return None
+    return _verified(p, make_ring(TruncFree(p, 3)),
+                     [(X + Y) ** n - X ** n - Y ** n for n in S])
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +190,6 @@ class NotIdentityReport:
     point: tuple        # scalar parameters of the failing substitution
     arguments: tuple    # ring element tuple
     value: tuple        # nonzero evaluation of P there
-
-
-def _peel(Q, i, p):
-    """Q = (X_i^p - X_i) * A + R over F_p with deg_{X_i} R < p."""
-    work = {e: c % p for e, c in Q.terms.items() if c % p}
-    quo = {}
-    rem = {}
-    while work:
-        e = max(work, key=lambda e: (e[i - 1], e))
-        c = work.pop(e)
-        if e[i - 1] < p:
-            rem[e] = c
-            continue
-        qe = list(e)
-        qe[i - 1] -= p
-        qe = tuple(qe)
-        quo[qe] = (quo.get(qe, 0) + c) % p
-        le = list(e)
-        le[i - 1] -= p - 1
-        le = tuple(le)
-        v = (work.get(le, 0) + c) % p
-        if v:
-            work[le] = v
-        elif le in work:
-            del work[le]
-    s = Q.nvars
-    return CPoly(quo, s, p), CPoly(rem, s, p)
 
 
 def _nonzero_point(G, p):
@@ -257,14 +232,14 @@ def min_ring_certify(P, p):
     first = {}
     R = Q
     for i in range(1, s + 1):
-        first[i], R = _peel(R, i, p)
+        first[i], R = field_ideal_divmod(R, i, p)
     if not R.is_zero():
         return report("scalar", _nonzero_point(R, p), {})
     qhat = {}
     for i in range(1, s + 1):
         Ri = first[i]
         for k in range(1, s + 1):
-            Bik, Ri = _peel(Ri, k, p)
+            Bik, Ri = field_ideal_divmod(Ri, k, p)
             key = (min(i, k), max(i, k))
             qhat[key] = qhat.get(key, CPoly.zero(s, p)) + Bik
         if not Ri.is_zero():

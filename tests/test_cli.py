@@ -204,6 +204,10 @@ HUGE = [
     (["central", BIG + "*X^2"], "characteristic-factoring"),
     (["power", "--set", "4611686014132420609"], "characteristic-factoring"),
     (["central", "X^11"], "exhaustive-eval"),
+    (["freshman", "--set", "25"], "expansion"),
+    (["freshman", "--set", "4611686014132420609"], "characteristic-factoring"),
+    (["freshman", "--set", "1000000007"], "expansion"),
+    (["univariate", "X^99999999"], "expansion"),
 ]
 
 
@@ -223,11 +227,14 @@ def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv, stage):
     ["freshman", "--set", "1"],
     ["verify", "%(notjson)s", "%(ids)s"],
     ["verify", "%(noring)s", "%(ids)s"],
+    ["univariate", "X^\u00b2"],
+    ["decide", "%(superscript)s"],
 ])
 def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
     paths = {"ids": write(tmp_path, "c.ids", "vars X Y\nid [X,Y]\n"),
              "notjson": write(tmp_path, "w.json", "not json\n"),
-             "noring": write(tmp_path, "r.json", '{"schema": 1}\n')}
+             "noring": write(tmp_path, "r.json", '{"schema": 1}\n'),
+             "superscript": write(tmp_path, "s.ids", "vars X\nid X^\u00b2\n")}
     assert main([a % paths for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commforce.commalg import (CPoly, cartier, cartier_reconstruct,
-                               field_ideal_normal_form, frobenius_scale,
-                               prime_factorization, trial_factor, univ,
-                               univariate_divrem, univariate_membership,
+                               field_ideal_divmod, field_ideal_normal_form,
+                               frobenius_scale, prime_factorization,
+                               trial_factor, univ, univariate_membership,
                                value_gcd)
 from commforce.errors import ResourceLimitError
 
@@ -96,14 +96,6 @@ def test_value_gcd_matches_larger_box(P):
     assert value_gcd([P]) == g
 
 
-def test_univariate_division():
-    P = univ({6: 1, 3: -1})
-    M = univ({2: 1, 1: -1})
-    Q, R = univariate_divrem(P, M, 2)
-    assert Q * M.mod(2) + R == P.mod(2)
-    assert R.degree() < 2
-
-
 def test_univariate_membership():
     assert univariate_membership(univ({3: 1, 1: -1}), "lin", 3)
     assert not univariate_membership(univ({2: 1}), "lin", 3)
@@ -111,6 +103,36 @@ def test_univariate_membership():
     sq = univ({4: 1, 3: -2, 2: 1})
     assert univariate_membership(sq, "sq", 2)
     assert not univariate_membership(univ({2: 1, 1: -1}), "sq", 2)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_field_ideal_divmod_reconstructs(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    s = data.draw(st.integers(1, 3))
+    P = data.draw(st.dictionaries(st.tuples(*([st.integers(0, 12)] * s)),
+                                  st.integers(-9, 9), max_size=6).map(
+        lambda t: CPoly(t, s, None)))
+    i = data.draw(st.integers(1, s))
+    A, R = field_ideal_divmod(P, i, p)
+    Xi = CPoly.var(i, s, p)
+    assert (Xi ** p - Xi) * A + R == P.mod(p)
+    assert all(e[i - 1] < p for e in R.terms)
+
+
+@given(st.sampled_from([2, 3, 5, 7]),
+       st.dictionaries(st.integers(0, 16), st.integers(-6, 6), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_univariate_membership_vs_brute_force(p, coeffs):
+    # X^p - X is squarefree over F_p with every point of F_p a root, so
+    # P lies in (p, X^p - X) iff P vanishes on F_p, and in
+    # (p, (X^p - X)^2) iff both P and its derivative do
+    P = univ(coeffs)
+    dP = univ({d - 1: d * c for d, c in coeffs.items() if d})
+    lin = all(P.eval((x,)) % p == 0 for x in range(p))
+    sq = lin and all(dP.eval((x,)) % p == 0 for x in range(p))
+    assert univariate_membership(P, "lin", p) == lin
+    assert univariate_membership(P, "sq", p) == sq
 
 
 def test_trial_factor():

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from commforce import freealg
+from commforce.errors import ResourceLimitError
 from commforce.freealg import (NcPoly, abelianize, bar_transversal, commutator,
                                deglex_key, format_ncpoly, from_cpoly,
-                               integer_rank_factorization, reduce_Ap,
-                               reduce_caseI)
+                               reduce_Ap, reduce_caseI)
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -139,17 +140,30 @@ def test_reduce_Ap_known_form():
     assert abelianize(form.A[(1, 2)], 2) == abelianize(-(X * Y), 2)
 
 
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-                min_size=2, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_integer_rank_factorization(rows):
-    M = [tuple(r) for r in rows]
-    L, R = integer_rank_factorization(M)
-    rebuilt = [[sum(L[i][k] * R[k][j] for k in range(len(R)))
-                for j in range(3)] for i in range(len(M))]
-    assert [tuple(r) for r in rebuilt] == [tuple(r) for r in M]
-
-
 def test_format_roundtrip_shape():
     P = (X ** 2 * Y).scale(2) - Y ** 3
     assert format_ncpoly(P, names="XY") == "2*X^2*Y - Y^3"
+
+
+def test_reduce_caseI_records_are_words_with_collected_sandwiches():
+    # YXX = XXY - [X,Y]X - X[X,Y] and YXY = XYY - [X,Y]Y: the left word 1
+    # collects both right sandwiches, X and Y, into one record
+    form = reduce_caseI(Y * X * X + Y * X * Y)
+    assert form.bar == X * X * Y + X * Y * Y
+    assert form.comm_terms == [(1, 2, NcPoly.const(1), -X - Y),
+                               (1, 2, X, NcPoly.const(-1))]
+
+
+def test_expansion_budget_is_a_limit():
+    assert (X + Y) ** 16 == (X + Y) ** 15 * (X + Y)
+    with pytest.raises(ResourceLimitError) as e:
+        (X + Y) ** 17
+    assert (e.value.stage, e.value.limit) == ("expansion",
+                                              freealg.MAX_TERM_PAIRS)
+    assert (X ** 2) ** (freealg.MAX_POWER_DEGREE // 2) == \
+        X ** freealg.MAX_POWER_DEGREE
+    for base in (X ** 2, NcPoly.const(2)):
+        with pytest.raises(ResourceLimitError) as e:
+            base ** (freealg.MAX_POWER_DEGREE + 1)
+        assert (e.value.stage, e.value.limit) == ("expansion",
+                                                  freealg.MAX_POWER_DEGREE)
