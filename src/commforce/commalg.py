@@ -10,7 +10,7 @@ a step budget, and univariate membership in (p, X^p - X) and
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd, isqrt
 
 from .errors import ResourceLimitError
@@ -253,18 +253,31 @@ def value_gcd(polys):
     A polynomial of total degree D is an integer combination of the
     binomial products C(X_1, m_1)...C(X_s, m_s) with m_1+...+m_s <= D,
     whose coefficients are in turn integer combinations of its values
-    at the points of {0,...,D}^s with coordinate sum at most D.  Those
-    points therefore already fix the gcd; the scan stops early at 1.
+    at the points of N^s with coordinate sum at most D.  Those points
+    (``lattice_points``) therefore already fix the gcd; the scan stops
+    early at 1.
     """
     g = 0
     for P in polys:
-        D = max(P.degree(), 0)
-        for point in product(range(D + 1), repeat=P.nvars):
-            if sum(point) <= D:
-                g = gcd(g, P.eval(point))
-                if g == 1:
-                    return 1
+        for point in lattice_points(P.nvars, max(P.degree(), 0)):
+            g = gcd(g, P.eval(point))
+            if g == 1:
+                return 1
     return g
+
+
+def lattice_points(n, D):
+    """The points of N^n with coordinate sum at most D, by increasing
+    sum: C(n + D, D) of them.  A polynomial map of total degree at most
+    D vanishes on all of N^n iff it vanishes at these points, since its
+    coefficients in the binomial basis are forward differences of its
+    values there."""
+    for total in range(D + 1):
+        for picks in combinations_with_replacement(range(n), total):
+            point = [0] * n
+            for i in picks:
+                point[i] += 1
+            yield tuple(point)
 
 
 def univ(coeffs, modulus=None):

@@ -11,11 +11,12 @@ witness, a Forces certificate, or a resource limit.
 """
 
 from dataclasses import dataclass, field
-from itertools import product
-from math import gcd, isqrt
+from itertools import islice, product
+from math import comb, gcd, isqrt, prod
 
 from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
-                      frobenius_scale, prime_factorization, univ, value_gcd)
+                      frobenius_scale, lattice_points, prime_factorization,
+                      univ, value_gcd)
 from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
@@ -432,13 +433,10 @@ class _AssignmentSpace:
             return self.cache[cost]
         lst = []
 
-        def close(chosen):
-            for c0 in range(self.const_range):
-                lst.append(chosen + ((((), c0),) if c0 else ()))
-
         def rec(idx, chosen, remaining):
             if remaining == 0:
-                close(chosen)
+                lst.extend(chosen + ((((), c0),) if c0 else ())
+                           for c0 in range(self.const_range))
                 return
             for k in range(idx, len(self.others)):
                 w, rng = self.others[k]
@@ -473,27 +471,64 @@ class _AssignmentSpace:
         return rec(0, total)
 
 
+def _first_image(basis, cases, options, spent, detail):
+    """Substitute each (assignment, identities) case and reduce: the
+    first nonzero normal form or None, with the running count; past the
+    cap the scan stops with a limit carrying ``detail``."""
+    for tup, polys in cases:
+        spent += 1
+        if spent > options.max_specializations:
+            raise ResourceLimitError("specialization-scan",
+                                     options.max_specializations, detail)
+        assignment = {i + 1: NcPoly(dict(x)) for i, x in enumerate(tup)}
+        for P in polys:
+            nf = basis.normal_form(P.substitute(assignment))
+            if not nf.is_zero():
+                return nf, spent
+    return None, spent
+
+
 def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     """Substitute assignments over the normal words shorter than
     ``scan_length`` into every identity, cheapest first, and reduce.
     Returns the first nonzero normal form (None when all vanish) with
-    the running specialization count, which starts at ``spent``; past
-    the cap the scan stops with a limit carrying ``detail``."""
+    the running specialization count, which starts at ``spent``.
+
+    "All vanish" is decided exactly on a far smaller point set.  With
+    x_i = sum_w t_(i,w) w over the N normal words, f(t) = P(x) mod the
+    basis is a polynomial map of degree at most D = deg P in n = N s
+    variables, so it vanishes on all of N^n iff it vanishes at the
+    C(n + D, D) points of ``lattice_points``.  N^n and the assignment
+    space give the same values: a coefficient past a word's range
+    reduces into deg-lex smaller normal words, and every point is an
+    assignment.  So when the points are under half the space, the
+    cheapest-first scan pauses after that many assignments; if all
+    vanished, the points decide, each identity at the points whose sum
+    is at most its degree, and only a failing point resumes the scan to
+    its first nonzero image.  Points count against the cap too."""
     normal = _normal_words(basis, scan_length)
     space = _AssignmentSpace(normal, options.max_specializations)
     s = ids.nvars
-    for total in range(space.max_cost * s + 1):
-        for tup in space.tuples_with_total(s, total):
-            spent += 1
-            if spent > options.max_specializations:
-                raise ResourceLimitError("specialization-scan",
-                                         options.max_specializations, detail)
-            assignment = {i + 1: NcPoly(dict(tup[i])) for i in range(s)}
-            for P in ids.polys:
-                nf = basis.normal_form(P.substitute(assignment))
-                if not nf.is_zero():
-                    return nf, spent
-    return None, spent
+    polys = ids.polys
+    cheapest = ((tup, polys) for total in range(space.max_cost * s + 1)
+                for tup in space.tuples_with_total(s, total))
+    D = max([0] + [P.degree() for P in polys])
+    n = len(normal) * s
+    points = comb(n + D, D)
+    if 2 * points < prod(rng for _, rng in normal) ** s:
+        nf, spent = _first_image(basis, islice(cheapest, points), options,
+                                 spent, detail)
+        if nf is not None:
+            return nf, spent
+        words = [w for w, _ in normal]
+        at_points = ((tuple(tuple((w, c) for w, c in zip(words, k[i::s]) if c)
+                            for i in range(s)),
+                      [P for P in polys if P.degree() >= sum(k)])
+                     for k in lattice_points(n, D))
+        nf, spent = _first_image(basis, at_points, options, spent, detail)
+        if nf is None:
+            return None, spent
+    return _first_image(basis, cheapest, options, spent, detail)
 
 
 def _ap_presented(ids, p, a, d, Gs, options):
@@ -584,7 +619,8 @@ def presented_scan_check(ids, basis, scan_length, options=None):
     """Re-check a presented witness against an identity set: the
     commutator must survive reduction and every identity must reduce to
     zero under every specialization over normal words shorter than
-    ``scan_length``."""
+    ``scan_length``, decided exactly from the degree-bounded point set
+    (``_specialization_scan``)."""
     options = options or DecideOptions()
     if is_commutative_presentation(basis):
         return False

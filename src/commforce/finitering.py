@@ -322,20 +322,27 @@ class TabledRing:
         array."""
         N = columns[0].shape[0] if columns else 1
         cols = [np.ascontiguousarray(col.T, dtype=np.int64) for col in columns]
-        # products of the prefixes of P's words, a letter being its column
-        cache = {(v,): col for v, col in enumerate(cols, 1)}
-        cache[()] = np.broadcast_to(self.one[:, None], (self.dim, N))
         acc = np.zeros((self.dim, N), dtype=np.int64)
         # at a large char the sum of the terms could pass 2^63
         fold = len(P.terms) * (self.char - 1) ** 2 >= 1 << 63
-        for w, c in P.terms.items():
-            for i in range(2, len(w) + 1):
-                if w[:i] not in cache:
-                    cache[w[:i]] = self._mul_batch(cache[w[:i - 1]],
-                                                   cols[w[i - 1] - 1])
-            acc += (c % self.char) * cache[w]
+        # words in lexicographic order share their prefixes with their
+        # neighbours, so each distinct prefix product is computed once
+        # while only the current word's chain is kept: chain[i] is the
+        # product of its first i letters, a letter being its column
+        chain = [np.broadcast_to(self.one[:, None], (self.dim, N))]
+        prev = ()
+        for w in sorted(P.terms):
+            keep = next((i for i, (a, b) in enumerate(zip(w, prev)) if a != b),
+                        min(len(w), len(prev)))
+            del chain[keep + 1:]
+            for z in w[keep:]:
+                chain.append(self._mul_batch(chain[-1], cols[z - 1])
+                             if len(chain) > 1 else cols[z - 1])
+            c = P.terms[w] % self.char
+            acc += chain[-1] if c == 1 else c * chain[-1]
             if fold:
                 acc %= self.char
+            prev = w
         acc %= self.char
         return acc.T
 

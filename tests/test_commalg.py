@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from commforce.commalg import (CPoly, cartier, cartier_reconstruct,
                                field_ideal_divmod, field_ideal_normal_form,
                                frobenius_scale, prime_factorization,
-                               trial_factor, univ, univariate_membership,
-                               value_gcd)
+                               lattice_points, trial_factor, univ,
+                               univariate_membership, value_gcd)
 from commforce.errors import ResourceLimitError
 
 
@@ -150,3 +150,32 @@ def test_prime_factorization_budget_is_a_limit():
         prime_factorization(-(2 ** 61 - 1), "characteristic-factoring")
     assert (e.value.stage, e.value.limit, e.value.detail) == \
         ("characteristic-factoring", 2 ** 61 - 1, "")
+
+
+@pytest.mark.parametrize("n,D", [(0, 0), (0, 3), (1, 4), (3, 0), (3, 3),
+                                 (5, 2)])
+def test_lattice_points_by_sum(n, D):
+    pts = list(lattice_points(n, D))
+    assert len(pts) == len(set(pts)) == math.comb(n + D, D)
+    assert set(pts) == {pt for pt in itertools.product(range(D + 1), repeat=n)
+                        if sum(pt) <= D}
+    sums = [sum(pt) for pt in pts]
+    assert sums == sorted(sums)
+
+
+@given(st.lists(st.dictionaries(st.tuples(*([st.integers(0, 4)] * 2)),
+                                st.integers(-30, 30), max_size=4),
+                min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_value_gcd_matches_the_filtered_grid(termss):
+    # the gcd over the lattice points equals the gcd over the points of
+    # {0,...,D}^2 with sum at most D, and over the whole grid {0,...,D+2}^2
+    polys = [CPoly(t, 2) for t in termss]
+    ref = wide = 0
+    for P in polys:
+        D = max(P.degree(), 0)
+        for pt in itertools.product(range(D + 3), repeat=2):
+            wide = math.gcd(wide, P.eval(pt))
+            if sum(pt) <= D:
+                ref = math.gcd(ref, P.eval(pt))
+    assert value_gcd(polys) == ref == wide

@@ -1,4 +1,8 @@
+import itertools
 import json
+import math
+import random
+import time
 
 import pytest
 
@@ -271,3 +275,125 @@ def test_presented_witness_pinned(P, steps, scan_length, dump):
     assert isinstance(w, PresentedWitness)
     assert (w.basis.steps, w.scan_length) == (steps, scan_length)
     assert w.basis.dump() == dump
+
+
+def enumerated_scan(ids, basis, scan_length, options, spent, detail):
+    # the specialization scan without the point set: every assignment
+    # of the space, cheapest first, until one gives a nonzero image
+    normal = decide._normal_words(basis, scan_length)
+    space = decide._AssignmentSpace(normal, options.max_specializations)
+    s = ids.nvars
+    for total in range(space.max_cost * s + 1):
+        for tup in space.tuples_with_total(s, total):
+            spent += 1
+            if spent > options.max_specializations:
+                raise ResourceLimitError("specialization-scan",
+                                         options.max_specializations, detail)
+            assignment = {i + 1: NcPoly(dict(tup[i])) for i in range(s)}
+            for P in ids.polys:
+                nf = basis.normal_form(P.substitute(assignment))
+                if not nf.is_zero():
+                    return nf, spent
+    return None, spent
+
+
+WITNESS_IDENTITIES = [(X ** 2 + X) ** 2, (X ** 2 - X) ** 2, (X ** 3 - X) ** 2,
+                      (X ** 3 + X) ** 2, (X ** 2 - X).scale(4),
+                      (X ** 3 - X).scale(4)]
+
+
+@pytest.fixture(scope="module")
+def witness_bases():
+    return [(P, decide_Ap(ids(P, nvars=1))[1]) for P in WITNESS_IDENTITIES]
+
+
+def _random_identity(rng, nvars, degree):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        w = tuple(rng.randint(1, nvars)
+                  for _ in range(rng.randint(1, degree)))
+        terms[w] = terms.get(w, 0) + rng.choice([-2, -1, 1, 2, 3])
+    return NcPoly(terms)
+
+
+def _scan_sets(rng, P, p, a, s, space):
+    # seeded random sets of one or two identities, plus, where the full
+    # enumeration is short, sets that vanish on the witness: a multiple
+    # of its identity and a p^a-multiple
+    v = NcPoly.var(rng.randint(1, s))
+    sets = [tuple(_random_identity(rng, s, 3)
+                  for _ in range(rng.randint(1, 2))) for _ in range(8)]
+    if space <= 1024:
+        sets += [(rng.choice([P * v, v * P]),),
+                 (_random_identity(rng, s, 3).scale(p ** a), P)]
+    return [IdentitySet(s, S) for S in sets]
+
+
+def test_point_set_scan_matches_full_enumeration(witness_bases):
+    # the point-set answer must be the full enumeration's, and a set
+    # that fails must get the enumeration's own first nonzero image
+    rng = random.Random(10)
+    roomy = DecideOptions(max_specializations=10 ** 6)
+    seen = set()
+    for P, w in witness_bases:
+        p, a = w.family.p, w.family.a
+        for length in range(1, w.scan_length + 1):
+            normal = decide._normal_words(w.basis, length)
+            for s in (1, 2):
+                space = math.prod(r for _, r in normal) ** s
+                if space > 20000:
+                    continue
+                for S in _scan_sets(rng, P, p, a, s, space):
+                    D = max(0, *(Q.degree() for Q in S.polys))
+                    points = math.comb(len(normal) * s + D, D)
+                    got, _ = decide._specialization_scan(
+                        S, w.basis, length, DecideOptions(), 0, "test")
+                    ref, _ = enumerated_scan(S, w.basis, length, roomy, 0,
+                                             "test")
+                    assert got == ref
+                    seen.add((2 * points < space, got is None))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+def test_completion_rounds_keep_their_images_and_counts(monkeypatch):
+    # a round that ends in a nonzero image adds it to the generators:
+    # image and running count must be the full enumeration's
+    scan = decide._specialization_scan
+    rounds = []
+
+    def both(ids, basis, length, options, spent, detail):
+        got = scan(ids, basis, length, options, spent, detail)
+        if got[0] is not None:
+            ref = enumerated_scan(ids, basis, length, options, spent, detail)
+            assert got == ref
+            rounds.append(got)
+        return got
+
+    monkeypatch.setattr(decide, "_specialization_scan", both)
+    for P in WITNESS_IDENTITIES:
+        assert isinstance(decide_Ap(ids(P, nvars=1))[1], PresentedWitness)
+    assert len(rounds) >= 2 * len(WITNESS_IDENTITIES)
+
+
+@pytest.mark.parametrize("P", [(X ** 3 - X).scale(4), (X ** 2 - X).scale(8),
+                               (X ** 3 - X).scale(9)],
+                         ids=["4(X^3-X)", "8(X^2-X)", "9(X^3-X)"])
+def test_presented_witness_decided_from_the_point_set(P):
+    # the full enumeration took seconds or hit the specialization-space
+    # limit on each; the point set decides all three at once
+    sid = ids(P, nvars=1)
+    start = time.perf_counter()
+    p, w = decide_Ap(sid)
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(w, PresentedWitness)
+    assert decide.verify(w, sid)
+    # spot check from outside the scan: random elements spanned by all
+    # words shorter than the scan length, coefficients mod p^a
+    q = w.family.p ** w.family.a
+    words = [wd for n in range(w.scan_length)
+             for wd in itertools.product((1, 2), repeat=n)]
+    rng = random.Random(2000)
+    for _ in range(2000):
+        x = NcPoly({wd: rng.randrange(q) for wd in words})
+        assert w.normal_form(P.substitute({1: x})).is_zero()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -293,3 +295,56 @@ def test_product_matches_dense_product(fam):
     assert np.array_equal(ring.eval_batch(X * Y, [A, Bm]), ref)
     for a, b, r in zip(A[:50], Bm[:50], ref):
         assert ring.mul(tuple(a), tuple(b)) == tuple(int(x) for x in r)
+
+
+def test_eval_batch_keeps_one_prefix_chain():
+    # (X+Y)^10 has 2^11 - 1 word prefixes; besides the two column copies
+    # and the accumulator, only the current word's chain of products is
+    # alive, so the peak stays within (max word length + 3) arrays
+    ring = make_ring(TruncFree(3, 3))
+    rng = np.random.default_rng(10)
+    elems = ring.elements().T
+    N = 2048
+    columns = [elems[:, rng.integers(0, ring.size, N)].T for _ in range(2)]
+    P = (X + Y) ** 10
+    tracemalloc.start()
+    try:
+        got = ring.eval_batch(P, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (10 + 3) * ring.dim * N * 8
+    S = ring.eval_batch(X + Y, columns)
+    assert np.array_equal(got, ring.eval_batch(X ** 10, [S]))
+
+
+@pytest.mark.parametrize("P", [(X + Y) ** 4, X * Y * Z - Z * Y * X + X ** 3,
+                               (X * Y).scale(2) - Y * X * Y + Y.scale(3),
+                               NcPoly.const(4) + X * X * Y - Y * Y])
+def test_eval_batch_computes_each_prefix_once(monkeypatch, P):
+    # one product per distinct word prefix of length at least 2, and the
+    # value of each word as the product of its letters
+    ring = make_ring(TruncFree(3, 3))
+    calls = []
+    mul = TabledRing._mul_batch
+
+    def counting(self, A, Bm):
+        calls.append(1)
+        return mul(self, A, Bm)
+
+    rng = np.random.default_rng(4)
+    rows = [rng.integers(0, 3, (40, ring.dim)) for _ in range(3)]
+    monkeypatch.setattr(TabledRing, "_mul_batch", counting)
+    got = ring.eval_batch(P, rows)
+    prefixes = {w[:i] for w in P.terms for i in range(2, len(w) + 1)}
+    assert len(calls) == len(prefixes)
+    monkeypatch.undo()
+    for n in range(0, 40, 7):
+        tup = [tuple(int(x) for x in r[n]) for r in rows]
+        ref = ring.zero()
+        for w, c in P.terms.items():
+            v = ring.scalar(c)
+            for z in w:
+                v = ring.mul(v, tup[z - 1])
+            ref = ring.add(ref, v)
+        assert tuple(int(x) for x in got[n]) == ref
