@@ -10,7 +10,7 @@ a step budget, and univariate membership in (p, X^p - X) and
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import gcd, isqrt
 
 from .errors import ResourceLimitError
@@ -267,17 +267,18 @@ def value_gcd(polys):
 
 
 def lattice_points(n, D):
-    """The points of N^n with coordinate sum at most D, by increasing
-    sum: C(n + D, D) of them.  A polynomial map of total degree at most
-    D vanishes on all of N^n iff it vanishes at these points, since its
-    coefficients in the binomial basis are forward differences of its
-    values there."""
-    for total in range(D + 1):
-        for picks in combinations_with_replacement(range(n), total):
-            point = [0] * n
-            for i in picks:
-                point[i] += 1
-            yield tuple(point)
+    """The points of N^n with coordinate sum at most D, in colex order
+    (the last nonzero coordinate never decreases): C(n + D, D) of them.
+    A polynomial map of total degree at most D vanishes on all of N^n
+    iff it vanishes at these points, since its coefficients in the
+    binomial basis are forward differences of its values there."""
+    yield (0,) * n
+    # block j: points whose last nonzero coordinate is j; each recursion
+    # level strips one nonzero coordinate, so the depth is at most D
+    for j in range(n):
+        for c in range(1, D + 1):
+            for head in lattice_points(j, D - c):
+                yield head + (c,) + (0,) * (n - j - 1)
 
 
 def univ(coeffs, modulus=None):

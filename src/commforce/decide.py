@@ -11,7 +11,7 @@ witness, a Forces certificate, or a resource limit.
 """
 
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 from math import comb, gcd, isqrt, prod
 
 from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
@@ -407,80 +407,18 @@ def _normal_words(basis, at):
     return out
 
 
-class _AssignmentSpace:
-    """Substitution values over the normal words, materialized lazily
-    by cost: 1 + word length per nonzero nonconstant coefficient, the
-    constant part free.  Cheap assignments come first, so a collapsing
-    specialization is usually found long before the space is large."""
-
-    def __init__(self, normal, cap):
-        self.const_range = 1
-        others = []
-        for w, rng in normal:
-            if w == ():
-                self.const_range = rng
-            else:
-                others.append((w, rng))
-        others.sort(key=lambda wr: deglex_key(wr[0]))
-        self.others = others
-        self.cap = cap
-        self.cache = {}
-        self.count = 0
-        self.max_cost = sum(1 + len(w) for w, _ in others)
-
-    def at_cost(self, cost):
-        if cost in self.cache:
-            return self.cache[cost]
-        lst = []
-
-        def rec(idx, chosen, remaining):
-            if remaining == 0:
-                lst.extend(chosen + ((((), c0),) if c0 else ())
-                           for c0 in range(self.const_range))
-                return
-            for k in range(idx, len(self.others)):
-                w, rng = self.others[k]
-                step = 1 + len(w)
-                if step > remaining:
-                    break
-                for c in range(1, rng):
-                    rec(k + 1, chosen + ((w, c),), remaining - step)
-
-        rec(0, (), cost)
-        self.count += len(lst)
-        if self.count > self.cap:
-            raise ResourceLimitError("specialization-space", self.cap,
-                                     "assignment classes")
-        self.cache[cost] = lst
-        return lst
-
-    def tuples_with_total(self, s, total):
-        def rec(i, remaining):
-            if i == s - 1:
-                for asg in self.at_cost(remaining):
-                    yield (asg,)
-                return
-            for c in range(remaining + 1):
-                here = self.at_cost(c)
-                if not here:
-                    continue
-                for rest in rec(i + 1, remaining - c):
-                    for asg in here:
-                        yield (asg,) + rest
-
-        return rec(0, total)
-
-
-def _first_image(basis, cases, options, spent, detail):
-    """Substitute each (assignment, identities) case and reduce: the
-    first nonzero normal form or None, with the running count; past the
-    cap the scan stops with a limit carrying ``detail``."""
-    for tup, polys in cases:
+def _first_image(basis, words, s, cases, options, spent, detail):
+    """Substitute each (point, identities) case and reduce: the first
+    nonzero normal form or None, with the running count; past the cap
+    the scan stops with a limit carrying ``detail``.  Coordinate
+    j s + i of a point is variable i + 1's coefficient on ``words[j]``."""
+    for k, polys in cases:
         spent += 1
         if spent > options.max_specializations:
             raise ResourceLimitError("specialization-scan",
                                      options.max_specializations, detail)
-        assignment = {i + 1: NcPoly(dict(x)) for i, x in enumerate(tup)}
+        assignment = {i + 1: NcPoly(dict(zip(words, k[i::s])))
+                      for i in range(s)}
         for P in polys:
             nf = basis.normal_form(P.substitute(assignment))
             if not nf.is_zero():
@@ -490,45 +428,40 @@ def _first_image(basis, cases, options, spent, detail):
 
 def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     """Substitute assignments over the normal words shorter than
-    ``scan_length`` into every identity, cheapest first, and reduce.
-    Returns the first nonzero normal form (None when all vanish) with
-    the running specialization count, which starts at ``spent``.
+    ``scan_length`` into every identity and reduce.  Returns the first
+    nonzero normal form (None when all vanish) with the running
+    specialization count, which starts at ``spent``.
 
-    "All vanish" is decided exactly on a far smaller point set.  With
-    x_i = sum_w t_(i,w) w over the N normal words, f(t) = P(x) mod the
-    basis is a polynomial map of degree at most D = deg P in n = N s
-    variables, so it vanishes on all of N^n iff it vanishes at the
-    C(n + D, D) points of ``lattice_points``.  N^n and the assignment
-    space give the same values: a coefficient past a word's range
-    reduces into deg-lex smaller normal words, and every point is an
-    assignment.  So when the points are under half the space, the
-    cheapest-first scan pauses after that many assignments; if all
-    vanished, the points decide, each identity at the points whose sum
-    is at most its degree, and only a failing point resumes the scan to
-    its first nonzero image.  Points count against the cap too."""
+    "All vanish" is decided exactly.  With x_i = sum_w t_(i,w) w over
+    the N normal words, f(t) = P(x) mod the basis is a polynomial map of
+    degree at most D = deg P in n = N s variables, so it vanishes on all
+    of N^n iff it vanishes at the C(n + D, D) points of
+    ``lattice_points``, each identity at the points with sum at most
+    its degree.  N^n and the assignment box (each coefficient below its
+    word's range p^e) give the same values: a coefficient past a range
+    reduces into deg-lex smaller normal words.  The points are scanned
+    when under half the box, the whole box otherwise.
+
+    A completion round may add any nonzero image: each lies in the
+    least ideal that contains the generators and satisfies the
+    identities, so the final basis is the same in any order.  The order
+    sets the speed.  Both enumerations are colex over coordinates laid
+    out shortest word first, so assignments on short words, which
+    usually give an image soonest, come first."""
     normal = _normal_words(basis, scan_length)
-    space = _AssignmentSpace(normal, options.max_specializations)
+    words = [w for w, _ in normal]
     s = ids.nvars
     polys = ids.polys
-    cheapest = ((tup, polys) for total in range(space.max_cost * s + 1)
-                for tup in space.tuples_with_total(s, total))
     D = max([0] + [P.degree() for P in polys])
     n = len(normal) * s
-    points = comb(n + D, D)
-    if 2 * points < prod(rng for _, rng in normal) ** s:
-        nf, spent = _first_image(basis, islice(cheapest, points), options,
-                                 spent, detail)
-        if nf is not None:
-            return nf, spent
-        words = [w for w, _ in normal]
-        at_points = ((tuple(tuple((w, c) for w, c in zip(words, k[i::s]) if c)
-                            for i in range(s)),
-                      [P for P in polys if P.degree() >= sum(k)])
-                     for k in lattice_points(n, D))
-        nf, spent = _first_image(basis, at_points, options, spent, detail)
-        if nf is None:
-            return None, spent
-    return _first_image(basis, cheapest, options, spent, detail)
+    ranges = [rng for _, rng in normal for _ in range(s)]
+    if 2 * comb(n + D, D) < prod(ranges):
+        cases = ((k, [P for P in polys if P.degree() >= sum(k)])
+                 for k in lattice_points(n, D))
+    else:
+        cases = ((k[::-1], polys)
+                 for k in product(*(range(r) for r in reversed(ranges))))
+    return _first_image(basis, words, s, cases, options, spent, detail)
 
 
 def _ap_presented(ids, p, a, d, Gs, options):

@@ -159,8 +159,9 @@ def test_lattice_points_by_sum(n, D):
     assert len(pts) == len(set(pts)) == math.comb(n + D, D)
     assert set(pts) == {pt for pt in itertools.product(range(D + 1), repeat=n)
                         if sum(pt) <= D}
-    sums = [sum(pt) for pt in pts]
-    assert sums == sorted(sums)
+    # colex: the last nonzero coordinate never decreases
+    last = [max((i for i, c in enumerate(pt) if c), default=-1) for pt in pts]
+    assert last == sorted(last)
 
 
 @given(st.lists(st.dictionaries(st.tuples(*([st.integers(0, 4)] * 2)),
