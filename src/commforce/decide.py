@@ -408,29 +408,33 @@ def _normal_words(basis, at):
 
 
 def _first_image(basis, words, s, cases, options, spent, detail):
-    """Substitute each (point, identities) case and reduce: the first
-    nonzero normal form or None, with the running count; past the cap
-    the scan stops with a limit carrying ``detail``.  Coordinate
+    """Evaluate the identities of each (point, identities) case in the
+    quotient, reducing after every product (``GsBasis.evaluate``): the
+    first nonzero normal form or None, with the running count; past the
+    cap the scan stops with a limit carrying ``detail``.  Coordinate
     j s + i of a point is variable i + 1's coefficient on ``words[j]``."""
     for k, polys in cases:
         spent += 1
         if spent > options.max_specializations:
             raise ResourceLimitError("specialization-scan",
                                      options.max_specializations, detail)
-        assignment = {i + 1: NcPoly(dict(zip(words, k[i::s])))
-                      for i in range(s)}
+        images = {i + 1: {w: c for w, c in zip(words, k[i::s]) if c}
+                  for i in range(s)}
         for P in polys:
-            nf = basis.normal_form(P.substitute(assignment))
+            nf = basis.evaluate(P, images)
             if not nf.is_zero():
                 return nf, spent
     return None, spent
 
 
 def _specialization_scan(ids, basis, scan_length, options, spent, detail):
-    """Substitute assignments over the normal words shorter than
-    ``scan_length`` into every identity and reduce.  Returns the first
+    """Evaluate every identity in the quotient at assignments over the
+    normal words shorter than ``scan_length``.  Returns the first
     nonzero normal form (None when all vanish) with the running
-    specialization count, which starts at ``spent``.
+    specialization count, which starts at ``spent``.  Each value is
+    reduced after every product (``GsBasis.evaluate``); since normal
+    forms modulo the complete basis are unique, it is the normal form
+    of the substituted identity, which is never expanded.
 
     "All vanish" is decided exactly.  With x_i = sum_w t_(i,w) w over
     the N normal words, f(t) = P(x) mod the basis is a polynomial map of
@@ -464,9 +468,32 @@ def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     return _first_image(basis, words, s, cases, options, spent, detail)
 
 
-def _ap_presented(ids, p, a, d, Gs, options):
-    """Build the two-generator presentation for characteristic p^a and
-    decide by completion whether a noncommutative model survives."""
+def _kronecker_images(ids):
+    """(d, Gs): the content gcd of the straightened parts, and each
+    commutative image under X_i -> t^((D + 1)^(i - 1)), D the largest
+    straightened degree."""
+    s = ids.nvars
+    bars = [bar_transversal(P) for P in ids.polys]
+    D = max((b.degree() for b in bars), default=0)
+    d = gcd(*(b.content() for b in bars))
+    weights = [(D + 1) ** i for i in range(s)]
+    Gs = []
+    for P in ids.polys:
+        Q = abelianize(P, s)
+        terms = {}
+        for e, c in Q.terms.items():
+            k = sum(ei * wi for ei, wi in zip(e, weights))
+            terms[k] = terms.get(k, 0) + c
+        Gs.append(univ(terms))
+    return d, Gs
+
+
+def _presentation(p, a, d, Gs):
+    """(starting generators, scan length a t) of the two-generator
+    presentation for characteristic p^a, from ``_kronecker_images``, or
+    None when no image has content exponent b = min(a, v_p(d)).  The
+    generators make commutators central with square zero, kill p [X, Y]
+    and p^b times every word of length a t."""
     b = min(a, _vp(d, p))
     pick = None
     for G in Gs:
@@ -492,6 +519,16 @@ def _ap_presented(ids, p, a, d, Gs, options):
     else:
         for w in product((1, 2), repeat=at):
             gens.append(NcPoly.from_word(w, pb))
+    return gens, at
+
+
+def _ap_presented(ids, p, a, d, Gs, options):
+    """Build the two-generator presentation for characteristic p^a and
+    decide by completion whether a noncommutative model survives."""
+    start = _presentation(p, a, d, Gs)
+    if start is None:
+        return None
+    gens, at = start
     # the specialization count carries over from one completion round
     # to the next: each nonzero image joins the generators and restarts
     spent = 0
@@ -511,19 +548,7 @@ def _ap_presented(ids, p, a, d, Gs, options):
 
 
 def _ap_general(ids, options, plan):
-    s = ids.nvars
-    bars = [bar_transversal(P) for P in ids.polys]
-    D = max(b.degree() for b in bars)
-    d = gcd(*(b.content() for b in bars))
-    weights = [(D + 1) ** i for i in range(s)]
-    Gs = []
-    for P in ids.polys:
-        Q = abelianize(P, s)
-        terms = {}
-        for e, c in Q.terms.items():
-            k = sum(ei * wi for ei, wi in zip(e, weights))
-            terms[k] = terms.get(k, 0) + c
-        Gs.append(univ(terms))
+    d, Gs = _kronecker_images(ids)
     N = value_gcd(Gs)
     for p in plan.candidates(0, N):
         a = _vp(N, p)
@@ -562,14 +587,25 @@ def presented_scan_check(ids, basis, scan_length, options=None):
 
 
 def verify(witness, ids, options=None):
-    """The acceptance check for every witness.  A presented one must
-    pass ``presented_scan_check`` over its recorded scan length; a
-    tabled ring must be noncommutative and satisfy every identity at
-    every tuple (``TabledRing.holds``)."""
+    """The acceptance check for every witness.  A presented one is
+    rejected when the identities derive no presentation at its
+    characteristic p^a (``_presentation``); otherwise its basis must
+    reduce every starting generator of that presentation to zero, and
+    it must pass ``presented_scan_check`` over the longer of its
+    recorded scan length and the derived one a t, so a document cannot
+    shorten the scan.  A tabled ring must be noncommutative and satisfy
+    every identity at every tuple (``TabledRing.holds``)."""
     options = options or DecideOptions()
     if isinstance(witness, PresentedWitness):
-        return presented_scan_check(ids, witness.basis, witness.scan_length,
-                                    options)
+        basis = witness.basis
+        start = _presentation(basis.p, basis.a, *_kronecker_images(ids))
+        if start is None:
+            return False
+        gens, at = start
+        return (all(basis.normal_form(g).is_zero() for g in gens)
+                and presented_scan_check(ids, basis,
+                                         max(witness.scan_length, at),
+                                         options))
     return (witness.is_commutative() is not True
             and all(witness.holds(P, options.eval_cap) for P in ids.polys))
 

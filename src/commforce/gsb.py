@@ -201,7 +201,8 @@ class GsBasis:
         return hits
 
     def _first_reducer(self, w, c):
-        for h, pos in self.reducers(w):
+        hits = self._reducers.get(w)
+        for h, pos in self.reducers(w) if hits is None else hits:
             if h.lead_pow <= c:
                 return h, pos
         return None
@@ -211,6 +212,42 @@ class GsBasis:
         zero iff f lies in the ideal when the basis is complete."""
         m = self.p ** self.a
         return NcPoly(_reduce(f.terms, self._first_reducer, m), m)
+
+    def evaluate(self, P, images):
+        """Normal form of P under X_i -> images[i] (a term dict), equal
+        to ``normal_form(P.substitute(...))`` without expanding the
+        image.  Each proper prefix of P's words is valued once, as the
+        reduced product of its own prefix's value and its last letter's
+        image (a one-letter prefix is the image itself); a word adds its
+        last product to a sum that is reduced once.  Normal forms modulo
+        a complete basis are unique, so NF(u v) = NF(NF(u) v)."""
+        m = self.p ** self.a
+        first = self._first_reducer
+
+        def times(value, letter):
+            img = images[letter].items()
+            prod = {}
+            for u, a in value.items():
+                for v, b in img:
+                    k = u + v
+                    prod[k] = prod.get(k, 0) + a * b
+            return prod
+
+        values = {(): {(): 1}}
+        total = {}
+        # longest words first: a word that is also a prefix of a longer
+        # one then finds its reduced value
+        for w, c in reversed(P.terms.items()):
+            value = values.get(w)
+            if value is None:
+                for j in range(1, len(w)):
+                    if w[:j] not in values:
+                        values[w[:j]] = (images[w[0]] if j == 1 else _reduce(
+                            times(values[w[:j - 1]], w[j - 1]), first, m))
+                value = times(values[w[:-1]], w[-1])
+            for u, a in value.items():
+                total[u] = total.get(u, 0) + c * a
+        return NcPoly(_reduce(total, first, m), m)
 
     def dump(self):
         """One element per line in canonical order (stable debug form)."""

@@ -163,6 +163,24 @@ def test_cli_verify_presented_witness(tmp_path, capsys):
     assert "confirmed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scan_length,identities", [
+    (0, "id 2*X^2 - 2*X\n"), (1, "id 2*X^2 - 2*X\n"), (3, "")])
+def test_cli_verify_derives_the_presented_scan_length(tmp_path, capsys,
+                                                      scan_length,
+                                                      identities):
+    # 2X^2 - 2X gives the presentation at p^a = 4 scan length 2; a
+    # shorter recorded scan must not confirm a ring where x = X maps to
+    # -2X, which lies outside the ideal.  No identity derives no
+    # presentation, so nothing confirms a presented witness for it.
+    ring = {"family": "Presented", "p": 2, "a": 2,
+            "generators": ["X^2", "X*Y + Y*X", "Y^2"]}
+    w = write(tmp_path, "w.json",
+              json.dumps({"ring": ring, "scan_length": scan_length}))
+    f = write(tmp_path, "d.ids", "vars X\n" + identities)
+    assert main(["verify", w, f]) == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
 def test_central_quintic_witness_checks_agree(tmp_path, capsys):
     # [X^5,Y]: the fast path and the stages give the same TruncFree(5,3)
     # witness, and the re-checks accept it with Y over the basis only

@@ -254,7 +254,7 @@ def test_presented_scan_limits():
 SQUARE_BASIS = "X1^2\nX1*X2 + X2*X1\nX2^2"
 
 
-@pytest.mark.parametrize("P,steps,scan_length,dump", [
+PINNED = [
     ((X ** 2 + X) ** 2, 43, 4, SQUARE_BASIS),
     ((X ** 3 - X) ** 2, 18, 4, SQUARE_BASIS),
     ((X ** 3 + X) ** 2, 18, 4, SQUARE_BASIS),
@@ -291,16 +291,47 @@ SQUARE_BASIS = "X1^2\nX1*X2 + X2*X1\nX2^2"
      "17*X1^2*X2 + X2*X1^2\n"
      "17*X1*X2^2 + X2*X1*X2\n"
      "3*X1*X2^2 + 14*X2*X1*X2 + X2^2*X1"),
-])
+    # over a minute before the scan reduced after every product
+    ((X ** 2 + X) ** 3, 208, 9,
+     "4*X1 + 2*X1^2\n"
+     "4*X1*X2\n"
+     "6*X1*X2 + 2*X2*X1\n"
+     "4*X2 + 2*X2^2\n"
+     "X1^3\n"
+     "X1^2*X2 + X1*X2*X1\n"
+     "X1^2*X2 + X1*X2^2\n"
+     "X1^2*X2 + X2*X1^2\n"
+     "X1*X2^2 + X2*X1*X2\n"
+     "X2*X1*X2 + X2^2*X1\n"
+     "X2^3"),
+]
+
+
+@pytest.mark.parametrize("P,steps,scan_length,dump", PINNED)
 def test_presented_witness_pinned(P, steps, scan_length, dump):
     # the completed basis, its step count and the scan length of each
     # presented witness are pinned: a faster reducer or another scan
     # order must reproduce them.  All are at p = 2 but 9(X^3 - X)
+    start = time.perf_counter()
     p, w = decide_Ap(ids(P, nvars=1))
+    assert time.perf_counter() - start < 5.0
     assert p == (3 if P == (X ** 3 - X).scale(9) else 2)
     assert isinstance(w, PresentedWitness)
     assert (w.basis.steps, w.scan_length) == (steps, scan_length)
     assert w.basis.dump() == dump
+
+
+def test_presented_scan_never_substitutes(monkeypatch):
+    # the scan evaluates in the quotient, reducing after every product;
+    # no full image is expanded while building or re-checking a witness
+    def refuse(self, assignment):
+        raise AssertionError("substitute on the presented scan path")
+
+    monkeypatch.setattr(NcPoly, "substitute", refuse)
+    for P, *_ in PINNED:
+        sid = ids(P, nvars=1)
+        p, w = decide_Ap(sid)
+        assert presented_scan_check(sid, w.basis, w.scan_length)
 
 
 def enumerated_scan(ids, basis, scan_length, options, spent, detail):
@@ -359,6 +390,30 @@ def _scan_sets(rng, P, p, a, s, space):
         sets += [(rng.choice([P * v, v * P]),),
                  (_random_identity(rng, s, 3).scale(p ** a), P)]
     return [IdentitySet(s, S) for S in sets]
+
+
+def test_evaluate_matches_reduced_substitution(witness_bases):
+    # reducing after every product must give the normal form of the
+    # whole image term for term, also for coefficients at and past a
+    # word's range p^e and for identities with a constant term
+    rng = random.Random(12)
+    for _, w in witness_bases:
+        basis = w.basis
+        normal = decide._normal_words(basis, w.scan_length)
+        for s in (1, 2):
+            for _ in range(5):
+                P = _random_identity(rng, s, 6) + rng.randint(-1, 1)
+                for _ in range(3):
+                    images = {i: {wd: rng.choice([0, 1, r - 1, r, r + 1,
+                                                  2 * r, -1])
+                                  for wd, r in normal}
+                              for i in range(1, s + 1)}
+                    got = basis.evaluate(P, images)
+                    want = basis.normal_form(P.substitute(
+                        {i: NcPoly(t) for i, t in images.items()}))
+                    assert got == want
+                    assert list(got.terms.items()) == \
+                        list(want.terms.items())
 
 
 def test_point_set_scan_matches_full_enumeration(witness_bases):
