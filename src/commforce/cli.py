@@ -11,8 +11,11 @@ Identity files use a small line-based grammar::
 summary by default or a stable JSON document with --json; exit status
 is 0 for a verdict, 1 when ``verify`` rejects the witness, 2 for parse
 or usage errors and any other malformed input (ring or witness JSON,
-presented witness fields, ``--set``, a ``--p`` that is not a prime or
-too large to test), 3 when a resource limit was hit.
+checked by ``family_from_json``, presented witness fields, a cap or
+oracle bound that is not an int >= 1 or whose families exceed the size
+bound, an integer literal past Python's digit limit, ``--set``, a
+``--p`` that is not a prime or too large to test), 3 when a resource
+limit was hit.
 """
 
 import argparse
@@ -23,7 +26,9 @@ from .commalg import is_prime
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
                      _closed_form_verdict, decide_all, verify)
 from .errors import ResourceLimitError
-from .finitering import Presented, family_from_json, family_json, make_ring
+from .finitering import (MAX_DOC_SIZE, B, Mat, Presented, TruncFree,
+                         family_from_json, family_json, family_size,
+                         make_ring)
 from .freealg import NcPoly, format_ncpoly
 from .gsb import CompletionLimits, complete
 from .oracle import SearchBounds, identity_digest, witness_search
@@ -65,7 +70,12 @@ def _tokenize(text, line_no):
             j = i
             while j < n and text[j] in _DIGITS:
                 j += 1
-            toks.append(("int", int(text[i:j]), col))
+            try:
+                value = int(text[i:j])
+            except ValueError:   # past the int conversion digit limit
+                raise ParseError(line_no, col, "integer literal of %d digits "
+                                 "is too long" % (j - i))
+            toks.append(("int", value, col))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -307,13 +317,24 @@ def _exit_for(doc):
 
 def _options(args):
     opts = DecideOptions()
-    if getattr(args, "max_eval", None):
+    if getattr(args, "max_eval", None) is not None:
         opts.eval_cap = args.max_eval
-    if getattr(args, "max_gsb_steps", None):
+    if getattr(args, "max_gsb_steps", None) is not None:
         opts.gsb_limits = CompletionLimits(max_steps=args.max_gsb_steps)
     if getattr(args, "no_fast_path", False):
         opts.fast_paths = False
     return opts
+
+
+def _positive_int(text):
+    """argparse type of the cap and search-bound flags: an int >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("%s is not an int >= 1" % text)
+    return n
 
 
 def _prime(text):
@@ -446,28 +467,6 @@ def _cmd_certify(args):
     return 0
 
 
-def _check_presented(ring_doc, scan_length):
-    """Field types of a presented witness document: a list of strings
-    for ``generators``, an int ``scan_length`` >= 0, a prime ``p`` and an
-    int ``a`` >= 1."""
-    def bad(msg):
-        raise ParseError(1, 1, "bad presented witness: %s" % msg)
-
-    gens = ring_doc["generators"]
-    if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
-        bad("generators must be a list of strings")
-    if type(scan_length) is not int or scan_length < 0:
-        bad("scan_length must be an int >= 0")
-    p, a = ring_doc["p"], ring_doc["a"]
-    try:
-        if type(p) is not int or not is_prime(p):
-            bad("p must be a prime")
-    except ValueError as err:
-        bad(err)
-    if type(a) is not int or a < 1:
-        bad("a must be an int >= 1")
-
-
 def _cmd_verify(args):
     with open(args.witness) as fh:
         try:
@@ -481,7 +480,9 @@ def _cmd_verify(args):
     if witness is None:
         # a missing scan_length fails the int check: nothing recorded it
         scan_length = wdoc.get("scan_length")
-        _check_presented(ring_doc, scan_length)
+        if type(scan_length) is not int or scan_length < 0:
+            raise ParseError(1, 1, "bad presented witness: scan_length "
+                             "must be an int >= 0")
         gens = [parse_expression(g, {"X": 1, "Y": 2}) for g in fam.generators]
         witness = PresentedWitness(fam, complete(gens, fam.p, fam.a,
                                                  opts.gsb_limits), scan_length)
@@ -495,6 +496,11 @@ def _cmd_verify(args):
 
 def _cmd_oracle(args):
     ids, _ = _load_ids(args.file)
+    for fam in (B(args.max_p, args.max_n, 1), Mat(2, args.max_p, 1),
+                TruncFree(args.max_p, args.max_trunc_k)):
+        if family_size(fam) > MAX_DOC_SIZE:
+            raise ParseError(1, 1, "oracle bounds reach %r, larger than %d"
+                             % (fam, MAX_DOC_SIZE))
     bounds = SearchBounds(max_p=args.max_p, max_n=args.max_n,
                           max_trunc_k=args.max_trunc_k,
                           eval_cap=_options(args).eval_cap)
@@ -515,9 +521,11 @@ def _cmd_oracle(args):
 def _add_common(sp):
     sp.add_argument("--json", action="store_true",
                     help="emit a stable JSON document")
-    sp.add_argument("--max-eval", type=int, default=None, metavar="N",
+    sp.add_argument("--max-eval", type=_positive_int, default=None,
+                    metavar="N",
                     help="evaluation cap for exhaustive ring checks")
-    sp.add_argument("--max-gsb-steps", type=int, default=None, metavar="N",
+    sp.add_argument("--max-gsb-steps", type=_positive_int, default=None,
+                    metavar="N",
                     help="completion step cap for presented quotients")
 
 
@@ -582,9 +590,9 @@ def build_parser():
 
     orc = sub.add_parser("oracle", help="bounded brute-force witness search")
     orc.add_argument("file")
-    orc.add_argument("--max-p", type=int, default=5)
-    orc.add_argument("--max-n", type=int, default=3)
-    orc.add_argument("--max-trunc-k", type=int, default=4)
+    orc.add_argument("--max-p", type=_positive_int, default=5)
+    orc.add_argument("--max-n", type=_positive_int, default=3)
+    orc.add_argument("--max-trunc-k", type=_positive_int, default=4)
     _add_common(orc)
     orc.set_defaults(fn=_cmd_oracle)
     return ap

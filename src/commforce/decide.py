@@ -165,6 +165,8 @@ def decide_Up(ids, options=None, plan=None):
     """
     options = options or DecideOptions()
     plan = plan or candidate_primes(ids)
+    if not plan.all_primes and not plan.primes:
+        return None   # no characteristic admits a model
     if 8 ** ids.nvars > options.eval_cap:
         raise ResourceLimitError("upper-matrix-scan", options.eval_cap,
                                  "8^%d integer tuples" % ids.nvars)

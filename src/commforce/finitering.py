@@ -20,6 +20,7 @@ from math import prod
 
 import numpy as np
 
+from .commalg import is_prime
 from .errors import ResourceLimitError
 
 # TabledRing._scan evaluates _FIRST_BATCH tuples first, then
@@ -192,21 +193,83 @@ def family_json(family):
     raise TypeError("unknown family %r" % (family,))
 
 
+# A family document may name a tabled ring of ``family_size`` at most
+# MAX_DOC_SIZE and a presented quotient modulo p^a with a at most
+# MAX_DOC_EXPONENT.  Decided witnesses fit: a ring that ``holds`` scans
+# whole under the default cap has p^dim <= 10^7 elements, so dim <= 23,
+# and a completion stops at words of length 40 (``gsb.MAX_DEGREE``),
+# while a presentation holds words of length at least a.
+MAX_DOC_SIZE = 1 << 20
+MAX_DOC_EXPONENT = 64
+
+# each document kind: its family and int fields with their least values
+_DOC_KINDS = {"U": (Up, {"p": 2}), "MinRing": (MinRing, {"p": 2}),
+              "B": (B, {"p": 2, "n": 2, "l": 1}),
+              "Mat": (Mat, {"k": 1, "p": 2, "n": 1}),
+              "TruncFree": (TruncFree, {"p": 2, "k": 2}),
+              "Presented": (Presented, {"p": 2, "a": 1})}
+
+
+def family_size(family):
+    """max(dim^4, q) of a tabled family: dim^4 entries in each array
+    the axiom check builds (8 MB at dimension 32), and q = p^n elements
+    in the field that B and Mat are built over, which bounds the search
+    of ``least_irreducible(p, n)``.  TruncFree counts its dimension
+    without relations, 2^k - 1.  Exponents past 64 count as 64, which
+    keeps the size past any bound without building huge ints."""
+    q = 0
+    if isinstance(family, Up):
+        dim = 3
+    elif isinstance(family, MinRing):
+        dim = 4
+    elif isinstance(family, TruncFree):
+        dim = 2 ** min(family.k, 64) - 1
+    elif isinstance(family, (B, Mat)):
+        n = min(family.n, 64)
+        dim = 2 * n if isinstance(family, B) else family.k ** 2 * n
+        q = family.p ** n
+    else:
+        raise TypeError("no table for %r" % (family,))
+    return max(dim ** 4, q)
+
+
 def family_from_json(doc):
+    """Family of a ring document, checked before anything is built:
+    int fields (not bools or floats) in range with a prime p, a tabled
+    ring within MAX_DOC_SIZE, and a presented quotient with
+    a <= MAX_DOC_EXPONENT and a list of string generators.  Raises
+    ValueError, or KeyError for a missing field."""
+    if not isinstance(doc, dict) or doc.get("family") not in _DOC_KINDS:
+        raise ValueError("unknown family document %r" % (doc,))
     kind = doc["family"]
-    if kind == "U":
-        return Up(doc["p"])
-    if kind == "B":
-        return B(doc["p"], doc["n"], doc["l"])
-    if kind == "Mat":
-        return Mat(doc["k"], doc["p"], doc["n"])
-    if kind == "TruncFree":
-        return TruncFree(doc["p"], doc["k"], tuple(tuple(w) for w in doc["relations"]))
-    if kind == "MinRing":
-        return MinRing(doc["p"])
+    cls, least = _DOC_KINDS[kind]
+    v = {}
+    for name, low in least.items():
+        v[name] = doc[name]
+        if type(v[name]) is not int or v[name] < low:
+            raise ValueError("%s must be an int >= %d" % (name, low))
+    if kind == "B" and v["l"] >= v["n"]:
+        raise ValueError("B requires l < n")
+    if not is_prime(v["p"]):
+        raise ValueError("p must be a prime")
     if kind == "Presented":
-        return Presented(doc["p"], doc["a"], tuple(doc["generators"]))
-    raise ValueError("unknown family kind %r" % kind)
+        gens = doc["generators"]
+        if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+            raise ValueError("generators must be a list of strings")
+        if v["a"] > MAX_DOC_EXPONENT:
+            raise ValueError("a must be at most %d" % MAX_DOC_EXPONENT)
+        return Presented(generators=tuple(gens), **v)
+    if kind == "TruncFree":
+        rels = doc["relations"]
+        if not (isinstance(rels, list) and all(
+                isinstance(w, list) and w and all(type(z) is int and z in (1, 2)
+                                                  for z in w) for w in rels)):
+            raise ValueError("relations must be nonempty lists of 1s and 2s")
+        v["relations"] = tuple(tuple(w) for w in rels)
+    fam = cls(**v)
+    if family_size(fam) > MAX_DOC_SIZE:
+        raise ValueError("%r is larger than %d" % (fam, MAX_DOC_SIZE))
+    return fam
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +608,10 @@ def make_ring(family):
     if isinstance(family, Up):
         return _make_up(family.p)
     if isinstance(family, B):
-        if family.n < 2 or not (1 <= family.l <= family.n - 1):
-            raise ValueError("B requires n >= 2 and 1 <= l <= n-1")
         return _make_b(family.p, family.n, family.l)
     if isinstance(family, Mat):
         return _make_mat(family.k, family.p, family.n)
     if isinstance(family, TruncFree):
-        if family.k < 2:
-            raise ValueError("TruncFree requires k >= 2")
         return _make_truncfree(family.p, family.k, family.relations)
     if isinstance(family, MinRing):
         return _make_minring(family.p)

@@ -91,11 +91,6 @@ def _encode(word):
     return "".join(map(chr, word))
 
 
-def _occurrences(needle, haystack):
-    n, h = len(needle), len(haystack)
-    return [i for i in range(h - n + 1) if haystack[i:i + n] == needle]
-
-
 def _sub_scaled(terms, factor, left, poly, right, m):
     """terms -= factor * left * poly * right (in place)."""
     for w, c in poly.items():
@@ -276,15 +271,17 @@ def _compositions(f, g, p, a):
             _sub_scaled(terms, cg, left_head, g.terms, (), m)
             if terms:
                 yield (len(wf) + len(wg) - k, terms)
-    if len(wg) <= len(wf) and (f is not g):
-        for pos in _occurrences(wg, wf):
-            left = wf[:pos]
-            right = wf[pos + len(wg):]
-            terms = {}
-            _sub_scaled(terms, -cf, (), f.terms, (), m)
-            _sub_scaled(terms, cg, left, g.terms, right, m)
-            if terms:
-                yield (len(wf), terms)
+    # every occurrence, overlapping ones included, in ascending order
+    pos = f.lead_key.find(g.lead_key) if f is not g else -1
+    while pos >= 0:
+        left = wf[:pos]
+        right = wf[pos + len(wg):]
+        terms = {}
+        _sub_scaled(terms, -cf, (), f.terms, (), m)
+        _sub_scaled(terms, cg, left, g.terms, right, m)
+        if terms:
+            yield (len(wf), terms)
+        pos = f.lead_key.find(g.lead_key, pos + 1)
 
 
 def complete(generators, p, a, limits=None):

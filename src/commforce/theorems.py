@@ -1,12 +1,14 @@
 """Closed-form decisions for special identity shapes.
 
-Univariate identities, central univariate identities [Q(X),Y] = 0,
-power identities (XY)^n = X^n Y^n, freshman identities
-(X+Y)^n = X^n + Y^n and sets of homogeneous multilinear identities all
-admit complete arithmetic criteria.  This module implements them,
-always returning a finite witness accepted by ``decide.verify`` or None
-(meaning the shape forces commutativity), together with a certification
-routine for identities of the four-dimensional minimal witness ring.
+Power identities (XY)^n = X^n Y^n, freshman identities
+(X+Y)^n = X^n + Y^n and sets of homogeneous multilinear identities
+admit complete arithmetic criteria, implemented here.  A univariate
+identity P(X) = 0 and a central one [Q(X),Y] = 0 are decided by the
+general stages themselves: ``univariate_decide`` is ``decide_Up`` and
+``central_decide`` is ``decide_Ap`` on those shapes.  Every decider
+returns a finite witness accepted by ``decide.verify`` or None (meaning
+the shape forces commutativity).  A certification routine covers
+identities of the four-dimensional minimal witness ring.
 """
 
 from dataclasses import dataclass
@@ -14,10 +16,9 @@ from itertools import product
 from math import comb, gcd
 
 from .commalg import (CPoly, _vp, field_ideal_divmod,
-                      field_ideal_normal_form, is_prime, prime_factorization,
-                      univ, univariate_membership, value_gcd)
-from .decide import IdentitySet, verify
-from .finitering import MinRing, TruncFree, Up, make_ring
+                      field_ideal_normal_form, is_prime, prime_factorization)
+from .decide import IdentitySet, decide_Ap, decide_Up, verify
+from .finitering import MinRing, TruncFree, make_ring
 from .freealg import NcPoly, abelianize, from_cpoly, reduce_Ap
 
 X = NcPoly.var(1)
@@ -92,40 +93,20 @@ def multilinear_decide(polys):
 
 def univariate_decide(P):
     """Witness (p, Up(p) ring) for a single univariate identity, or
-    None: every ring satisfying P(X) = 0 is then commutative."""
-    vs = P.variables()
-    if any(v != 1 for v in vs):
+    None: every ring satisfying P(X) = 0 is then commutative.  This is
+    the ``decide_Up`` stage on the one-variable set {P}."""
+    if any(v != 1 for v in P.variables()):
         raise ValueError("univariate polynomial required")
-    Q = abelianize(P, 1)
-    if Q.is_zero():
-        return _verified(2, make_ring(Up(2)), [P])
-    # a witness prime makes Q vanish on F_p, so it divides every value
-    for p in _prime_divisors(value_gcd([Q])):
-        if univariate_membership(Q, "sq", p):
-            hit = _verified(p, make_ring(Up(p)), [P])
-            if hit:
-                return hit
-    return None
+    return decide_Up(IdentitySet(1, (P,)))
 
 
 def central_decide(Q):
     """Witness (p, ring) for the identity [Q(X), Y] = 0, with the
-    truncated free algebra F_p{u,v}/(u,v)^3 accepted by
-    ``decide.verify`` for Q Y - Y Q, or None."""
-    vs = Q.variables()
-    if any(v != 1 for v in vs):
+    truncated free algebra F_p{u,v}/(u,v)^3, or None.  This is the
+    ``decide_Ap`` stage on the two-variable set {Q Y - Y Q}."""
+    if any(v != 1 for v in Q.variables()):
         raise ValueError("univariate polynomial required")
-    Qc = abelianize(Q, 1)
-    dQ = univ({e[0] - 1: e[0] * c for e, c in Qc.terms.items() if e[0] >= 1})
-    # dQ = 0 leaves every prime, so try 2; otherwise a witness prime
-    # makes dQ vanish on F_p, so it divides every value
-    N = value_gcd([dQ])
-    for p in _prime_divisors(N) if N else [2]:
-        if dQ.is_zero() or univariate_membership(dQ, "lin", p):
-            hit = _verified(p, make_ring(TruncFree(p, 3)), [Q * Y - Y * Q])
-            if hit:
-                return hit
-    return None
+    return decide_Ap(IdentitySet(2, (Q * Y - Y * Q,)))
 
 
 def herstein_pair(a, b):

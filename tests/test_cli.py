@@ -1,4 +1,10 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -218,7 +224,7 @@ BIG = "2305843009213693951"   # 2^61 - 1, prime, beyond trial division
 HUGE = [
     (["decide", "%(big)s"], "characteristic-factoring"),
     (["decide", "--no-fast-path", "%(big)s"], "characteristic-factoring"),
-    (["univariate", BIG + "*X"], "characteristic-factoring"),
+    (["univariate", BIG + "*X"], "candidate-primes"),
     (["central", BIG + "*X^2"], "characteristic-factoring"),
     (["power", "--set", "4611686014132420609"], "characteristic-factoring"),
     (["central", "X^11"], "exhaustive-eval"),
@@ -238,6 +244,18 @@ def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv, stage):
     assert (doc["verdict"], doc["stage"]) == ("limit", stage)
 
 
+def test_cli_univariate_limit_stage_matches_stages(tmp_path, capsys):
+    # the univariate fast path is the decide_Up stage, so it stops where
+    # the stages do: factoring the value gcd 2^61 - 1.  (c*X is also
+    # multilinear and takes the multilinear fast path, hence X^2.)
+    f = write(tmp_path, "u.ids", "vars X\nid %s*X^2\n" % BIG)
+    stages = []
+    for extra in ([], ["--no-fast-path"]):
+        assert main(["decide", f, "--json"] + extra) == 3
+        stages.append(json.loads(capsys.readouterr().out)["stage"])
+    assert stages == ["candidate-primes", "candidate-primes"]
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--ring", '{"family":"B","p":2,"n":1,"l":1}', "%(ids)s"],
     ["check", "--ring", "[1]", "%(ids)s"],
@@ -255,6 +273,57 @@ def test_cli_malformed_input_exit_2(tmp_path, capsys, argv):
              "superscript": write(tmp_path, "s.ids", "vars X\nid X^\u00b2\n")}
     assert main([a % paths for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+OUTSIDE_INPUTS = {
+    "float-p": ["check", "--ring", '{"family":"U","p":2.5}', "%(comm)s"],
+    "mat-n0": ["check", "--ring", '{"family":"Mat","k":2,"p":2,"n":0}',
+               "%(comm)s"],
+    "truncfree-k26": ["check", "--ring",
+                      '{"family":"TruncFree","p":2,"k":26,"relations":[]}',
+                      "%(comm)s"],
+    "b-n40": ["check", "--ring", '{"family":"B","p":2,"n":40,"l":1}',
+              "%(comm)s"],
+    "presented-a1e9": ["verify", "%(huge_a)s", "%(comm)s"],
+    "max-eval-0": ["decide", "%(sextic)s", "--max-eval", "0"],
+    "max-eval-neg": ["decide", "%(sextic)s", "--max-eval", "-5"],
+    "max-gsb-steps-0": ["decide", "%(sextic)s", "--max-gsb-steps", "0"],
+    "oracle-n40": ["oracle", "%(comm)s", "--max-n", "40"],
+    "oracle-k30": ["oracle", "%(comm)s", "--max-trunc-k", "30"],
+    "long-literal-file": ["decide", "%(long)s"],
+    "long-literal-arg": ["univariate", "3" * 5000 + "*X"],
+}
+
+
+def _limit_memory():
+    # the address-space limit of ``ulimit -v 2000000``
+    resource.setrlimit(resource.RLIMIT_AS, (2000000 * 1024,) * 2)
+
+
+@pytest.mark.parametrize("argv", OUTSIDE_INPUTS.values(),
+                         ids=OUTSIDE_INPUTS.keys())
+def test_cli_outside_input_exit_2_quickly(tmp_path, argv):
+    # documents, flags and literals from outside are checked before any
+    # ring, search or number is built from them
+    paths = {"comm": write(tmp_path, "c.ids", "vars X Y\nid X*Y - Y*X\n"),
+             "sextic": write(tmp_path, "s.ids", SEXTIC_FILE),
+             "long": write(tmp_path, "l.ids",
+                           "vars X Y\nid %s*X*Y\n" % ("7" * 5000)),
+             "huge_a": write(tmp_path, "w.json", json.dumps(
+                 {"ring": {"family": "Presented", "p": 2, "a": 10 ** 9,
+                           "generators": ["X^2"]}, "scan_length": 1}))}
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "commforce.cli"] + [a % paths for a in argv],
+        env=env, capture_output=True, text=True, timeout=20,
+        preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 5.0
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert any(line.startswith("error:") or ": error: " in line
+               for line in done.stderr.splitlines())
 
 
 @pytest.mark.parametrize("ring,extra", [

@@ -88,6 +88,41 @@ def test_family_json_roundtrip():
     assert family_json(B(2, 2, 1))["modulus"] == [1, 1]
 
 
+@pytest.mark.parametrize("doc", [
+    {"family": "U", "p": 2.0},
+    {"family": "U", "p": True},
+    {"family": "U", "p": 4},
+    {"family": "MinRing", "p": 0},
+    {"family": "B", "p": 2, "n": 1, "l": 1},
+    {"family": "B", "p": 2, "n": 3, "l": 3},
+    {"family": "B", "p": 2, "n": 17, "l": 1},         # dimension 34
+    {"family": "B", "p": 1031, "n": 2, "l": 1},       # field 1031^2
+    {"family": "Mat", "k": 2, "p": 2, "n": 0},
+    {"family": "TruncFree", "p": 2, "k": 1, "relations": []},
+    {"family": "TruncFree", "p": 2, "k": 6, "relations": []},
+    {"family": "TruncFree", "p": 2, "k": 3, "relations": [[]]},
+    {"family": "TruncFree", "p": 2, "k": 3, "relations": [[1, 3]]},
+    {"family": "TruncFree", "p": 2, "k": 3, "relations": "XY"},
+    {"family": "Presented", "p": 2, "a": 65, "generators": []},
+    {"family": "Presented", "p": 2, "a": 1, "generators": "X"},
+    {"family": "Presented", "p": 9, "a": 1, "generators": []},
+    {"family": "Tabled", "p": 2},
+    [1],
+])
+def test_family_from_json_rejects_before_building(doc):
+    with pytest.raises(ValueError):
+        family_from_json(doc)
+
+
+def test_family_size_bounds_documents():
+    # the largest documents accepted in each direction
+    for fam in (TruncFree(2, 5), B(2, 16, 1), B(1021, 2, 1), Mat(2, 2, 2)):
+        assert family_from_json(family_json(fam)) == fam
+        assert finitering.family_size(fam) <= finitering.MAX_DOC_SIZE
+    assert finitering.family_size(TruncFree(2, 10 ** 9)) > \
+        finitering.MAX_DOC_SIZE
+
+
 def test_presented_not_tabled():
     with pytest.raises(ValueError):
         make_ring(Presented(2, 2, ()))

@@ -5,8 +5,8 @@ import pytest
 
 from commforce.errors import ResourceLimitError
 from commforce.freealg import NcPoly, commutator
-from commforce.gsb import (CompletionLimits, GsBasis, GsPoly, complete,
-                           initial_term, is_commutative_presentation,
+from commforce.gsb import (CompletionLimits, GsBasis, GsPoly, _compositions,
+                           complete, initial_term, is_commutative_presentation,
                            reduce_terms)
 from commforce.oracle import truncated_ideal_membership
 
@@ -41,6 +41,16 @@ def test_coefficient_composition_membership():
     # squaring gives X^2 = -X, so X^4 = X^2 = -X up to multiples
     basis = complete([X * X + X, X ** 4], 2, 2)
     assert basis.normal_form(X).is_zero()
+
+
+def test_compositions_include_overlapping_inclusions():
+    # in(g) = XX occurs in in(f) = XXX at positions 0 and 1; each gives
+    # the inclusion composition f - left g right (degree 3), in order
+    f = GsPoly({(1, 1, 1): 1, (2,): 1}, 3, 1)
+    g = GsPoly({(1, 1): 1, (2,): 1}, 3, 1)
+    inclusions = [t for deg, t in _compositions(f, g, 3, 1) if deg == 3]
+    assert inclusions == [{(2,): 1, (2, 1): 2}, {(2,): 1, (1, 2): 2}]
+    assert not [t for deg, t in _compositions(f, f, 3, 1) if deg == 3]
 
 
 @pytest.mark.parametrize("p,a", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1)])

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
-from commforce import theorems
+from commforce import decide, theorems
+from commforce.commalg import (prime_factorization, univ,
+                               univariate_membership, value_gcd)
 from commforce.decide import DecideOptions, IdentitySet, decide_all
+from commforce.errors import ResourceLimitError
 from commforce.finitering import MinRing, TruncFree, Up, make_ring
-from commforce.freealg import NcPoly, commutator
+from commforce.freealg import NcPoly, abelianize, commutator
 from commforce.theorems import (MinRingCertificate, NotIdentityReport,
                                 central_decide, freshman_decide, herstein_pair,
                                 is_multilinear, min_ring_certify,
@@ -77,6 +80,86 @@ def test_central_forces_and_witness():
     hit = central_decide(X ** 2)
     assert hit is not None
     assert hit[0] == 2 and hit[1].family == TruncFree(2, 3)
+
+
+def _reference_verified(p, family, P):
+    ring = make_ring(family)
+    s = max([1] + P.variables())
+    return (p, ring) if decide.verify(ring, IdentitySet(s, (P,))) else None
+
+
+def _reference_prime_divisors(N):
+    return [p for p, _ in prime_factorization(N, "characteristic-factoring")]
+
+
+def _reference_univariate(P):
+    """The arithmetic criterion: a witness prime p divides every value
+    of Q = P(x) and puts Q in (p, (X^p - X)^2); Up(p) then satisfies P."""
+    Q = abelianize(P, 1)
+    if Q.is_zero():
+        return _reference_verified(2, Up(2), P)
+    for p in _reference_prime_divisors(value_gcd([Q])):
+        if univariate_membership(Q, "sq", p):
+            hit = _reference_verified(p, Up(p), P)
+            if hit:
+                return hit
+    return None
+
+
+def _reference_central(Q):
+    """The arithmetic criterion for [Q(X), Y]: a witness prime p puts
+    the derivative Q' in (p, X^p - X); TruncFree(p, 3) then satisfies
+    it.  Q' = 0 admits every prime, so 2."""
+    Qc = abelianize(Q, 1)
+    dQ = univ({e[0] - 1: e[0] * c for e, c in Qc.terms.items() if e[0] >= 1})
+    N = value_gcd([dQ])
+    for p in _reference_prime_divisors(N) if N else [2]:
+        if dQ.is_zero() or univariate_membership(dQ, "lin", p):
+            hit = _reference_verified(p, TruncFree(p, 3), Q * Y - Y * Q)
+            if hit:
+                return hit
+    return None
+
+
+def _outcome(decider, Q):
+    try:
+        hit = decider(Q)
+    except ResourceLimitError:
+        return ("limit",)
+    return ("forces",) if hit is None else ("witness", hit[0], hit[1].family)
+
+
+_COEFFS = (-3, -2, -1, 1, 2, 3, 4, 6, 8, 9, 12)
+
+
+def _random_univariate(rng):
+    """1-4 terms c X^e with e <= 9, so constant terms occur."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        w = (1,) * rng.randint(0, 9)
+        terms[w] = terms.get(w, 0) + rng.choice(_COEFFS)
+    return NcPoly(terms)
+
+
+def test_closed_forms_match_arithmetic_criteria(monkeypatch):
+    # the witness check behind both sides runs under a 10^6 evaluation
+    # cap, so TruncFree(7, 3) (5.8 * 10^6 tuples) ends in a limit on
+    # both sides instead of 9 s of scanning per case
+    full_verify = decide.verify
+    monkeypatch.setattr(
+        decide, "verify", lambda ring, ids, options=None:
+        full_verify(ring, ids, DecideOptions(eval_cap=10 ** 6)))
+    rng = random.Random(14)
+    polys = [NcPoly.const(c) for c in (0, 1, 2, 6, -3, 12)]
+    polys += [_random_univariate(rng) for _ in range(300)]
+    kinds = set()
+    for Q in polys:
+        for closed, reference in ((univariate_decide, _reference_univariate),
+                                  (central_decide, _reference_central)):
+            out = _outcome(closed, Q)
+            assert out == _outcome(reference, Q), (closed.__name__, Q)
+            kinds.add(out[0])
+    assert kinds == {"forces", "witness", "limit"}
 
 
 def test_herstein_pair_matches_central():
