@@ -15,7 +15,7 @@ from .finitering import (B, Fq, Mat, MinRing, Presented, TabledRing,
 from .freealg import (ApForm, CaseIForm, NcPoly, abelianize, bar_transversal,
                       commutator, format_ncpoly, from_cpoly, reduce_Ap,
                       reduce_caseI)
-from .gsb import (CompletionLimits, GsBasis, GsPoly, complete, initial_term,
+from .gsb import (GsBasis, GsPoly, complete, initial_term,
                   is_commutative_presentation)
 from .oracle import (CrossReport, RandomProfile, SearchBounds, cross_validate,
                      identity_digest, random_identities,

@@ -16,6 +16,11 @@ oracle bound that is not an int >= 1 or whose families exceed the size
 bound, an integer literal past Python's digit limit, ``--set``, a
 ``--p`` that is not a prime or too large to test), 3 when a resource
 limit was hit.
+
+Each command hands one ``DecideOptions`` (``_options``) to what it
+runs and takes only the cap flags that reach its code: --max-eval and
+--max-gsb-steps for decide, central and verify, neither for certify,
+--max-eval alone for the rest.  Any other cap flag is a usage error.
 """
 
 import argparse
@@ -24,13 +29,13 @@ import sys
 
 from .commalg import is_prime
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
-                     _closed_form_verdict, decide_all, verify)
+                     _closed_form_verdict, _limit_verdict, decide_all, verify)
 from .errors import ResourceLimitError
 from .finitering import (MAX_DOC_SIZE, B, Mat, Presented, TruncFree,
                          family_from_json, family_json, family_size,
                          make_ring)
 from .freealg import NcPoly, format_ncpoly
-from .gsb import CompletionLimits, complete
+from .gsb import complete
 from .oracle import SearchBounds, identity_digest, witness_search
 from .theorems import (MinRingCertificate, central_decide, freshman_decide,
                        is_multilinear, min_ring_certify, multilinear_decide,
@@ -320,7 +325,7 @@ def _options(args):
     if getattr(args, "max_eval", None) is not None:
         opts.eval_cap = args.max_eval
     if getattr(args, "max_gsb_steps", None) is not None:
-        opts.gsb_limits = CompletionLimits(max_steps=args.max_gsb_steps)
+        opts.max_gsb_steps = args.max_gsb_steps
     if getattr(args, "no_fast_path", False):
         opts.fast_paths = False
     return opts
@@ -362,47 +367,35 @@ def _cmd_decide(args):
     return _exit_for(doc)
 
 
-def _closed_form(args, command, hit):
-    """Report a closed-form decider's answer (None means Forces)."""
-    doc = verdict_doc(command, _closed_form_verdict(hit))
+def _cmd_closed_form(args):
+    """Report the command's closed-form decider on the input its reader
+    parses, under the run's options (None means Forces)."""
+    hit = args.decider(args.read(args), _options(args))
+    doc = verdict_doc(args.cmd, _closed_form_verdict(hit))
     _emit(doc, args.json, _verdict_lines(doc))
     return _exit_for(doc)
 
 
-def _cmd_multilinear(args):
+def _multilinear_polys(args):
     ids, _ = _load_ids(args.file)
     for P in ids.polys:
         if not is_multilinear(P):
             raise ParseError(1, 1, "identities must be homogeneous multilinear")
-    return _closed_form(args, "multilinear", multilinear_decide(list(ids.polys)))
+    return ids.polys
 
 
-def _cmd_univariate(args):
-    P = parse_expression(args.poly, {"X": 1})
-    return _closed_form(args, "univariate", univariate_decide(P))
+def _poly_in_x(args):
+    return parse_expression(args.poly, {"X": 1})
 
 
-def _cmd_central(args):
-    Q = parse_expression(args.poly, {"X": 1})
-    return _closed_form(args, "central", central_decide(Q))
-
-
-def _parse_set(text):
+def _exponent_set(args):
     try:
-        S = sorted({int(x) for x in text.split(",") if x.strip()})
+        S = sorted({int(x) for x in args.set.split(",") if x.strip()})
     except ValueError:
         S = []
     if not S or S[0] < 2:
         raise ParseError(1, 1, "--set expects comma-separated integers >= 2")
     return S
-
-
-def _cmd_power(args):
-    return _closed_form(args, "power", power_identity_decide(_parse_set(args.set)))
-
-
-def _cmd_freshman(args):
-    return _closed_form(args, "freshman", freshman_decide(_parse_set(args.set)))
 
 
 def _family(doc):
@@ -485,7 +478,8 @@ def _cmd_verify(args):
                              "must be an int >= 0")
         gens = [parse_expression(g, {"X": 1, "Y": 2}) for g in fam.generators]
         witness = PresentedWitness(fam, complete(gens, fam.p, fam.a,
-                                                 opts.gsb_limits), scan_length)
+                                                 opts.max_gsb_steps),
+                                   scan_length)
     ok = verify(witness, ids, opts)
     doc = {"schema": SCHEMA, "command": "verify", "ring": ring_doc,
            "valid": bool(ok)}
@@ -518,15 +512,17 @@ def _cmd_oracle(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-def _add_common(sp):
+def _add_common(sp, max_eval=True, max_gsb_steps=False):
     sp.add_argument("--json", action="store_true",
                     help="emit a stable JSON document")
-    sp.add_argument("--max-eval", type=_positive_int, default=None,
-                    metavar="N",
-                    help="evaluation cap for exhaustive ring checks")
-    sp.add_argument("--max-gsb-steps", type=_positive_int, default=None,
-                    metavar="N",
-                    help="completion step cap for presented quotients")
+    if max_eval:
+        sp.add_argument("--max-eval", type=_positive_int, default=None,
+                        metavar="N",
+                        help="evaluation cap for exhaustive ring checks")
+    if max_gsb_steps:
+        sp.add_argument("--max-gsb-steps", type=_positive_int, default=None,
+                        metavar="N",
+                        help="completion step cap for presented quotients")
 
 
 def build_parser():
@@ -540,33 +536,38 @@ def build_parser():
     d.add_argument("file")
     d.add_argument("--no-fast-path", action="store_true",
                    help="skip the closed-form special cases")
-    _add_common(d)
+    _add_common(d, max_gsb_steps=True)
     d.set_defaults(fn=_cmd_decide)
 
     m = sub.add_parser("multilinear", help="multilinear identity sets")
     m.add_argument("file")
     _add_common(m)
-    m.set_defaults(fn=_cmd_multilinear)
+    m.set_defaults(fn=_cmd_closed_form, read=_multilinear_polys,
+                   decider=multilinear_decide)
 
     u = sub.add_parser("univariate", help="a single identity P(X) = 0")
     u.add_argument("poly")
     _add_common(u)
-    u.set_defaults(fn=_cmd_univariate)
+    u.set_defaults(fn=_cmd_closed_form, read=_poly_in_x,
+                   decider=univariate_decide)
 
     c = sub.add_parser("central", help="the identity [Q(X), Y] = 0")
     c.add_argument("poly")
-    _add_common(c)
-    c.set_defaults(fn=_cmd_central)
+    _add_common(c, max_gsb_steps=True)
+    c.set_defaults(fn=_cmd_closed_form, read=_poly_in_x,
+                   decider=central_decide)
 
     pw = sub.add_parser("power", help="(XY)^n = X^n Y^n for n in --set")
     pw.add_argument("--set", required=True)
     _add_common(pw)
-    pw.set_defaults(fn=_cmd_power)
+    pw.set_defaults(fn=_cmd_closed_form, read=_exponent_set,
+                    decider=power_identity_decide)
 
     fr = sub.add_parser("freshman", help="(X+Y)^n = X^n + Y^n for n in --set")
     fr.add_argument("--set", required=True)
     _add_common(fr)
-    fr.set_defaults(fn=_cmd_freshman)
+    fr.set_defaults(fn=_cmd_closed_form, read=_exponent_set,
+                    decider=freshman_decide)
 
     ck = sub.add_parser("check", help="test identities on a named ring")
     ck.add_argument("--ring", required=True,
@@ -579,13 +580,13 @@ def build_parser():
                         help="certify identities on the minimal witness ring")
     ce.add_argument("--p", type=_prime, required=True)
     ce.add_argument("file")
-    _add_common(ce)
+    _add_common(ce, max_eval=False)
     ce.set_defaults(fn=_cmd_certify)
 
     ve = sub.add_parser("verify", help="re-verify an emitted witness document")
     ve.add_argument("witness")
     ve.add_argument("file")
-    _add_common(ve)
+    _add_common(ve, max_gsb_steps=True)
     ve.set_defaults(fn=_cmd_verify)
 
     orc = sub.add_parser("oracle", help="bounded brute-force witness search")
@@ -610,9 +611,8 @@ def main(argv=None):
         print("error: %s" % err, file=sys.stderr)
         return 2
     except ResourceLimitError as err:
-        doc = {"schema": SCHEMA, "command": args.cmd, "verdict": "limit",
-               "stage": err.stage, "limit": err.limit, "detail": err.detail}
-        _emit(doc, getattr(args, "json", False), _verdict_lines(doc))
+        doc = verdict_doc(args.cmd, _limit_verdict(err))
+        _emit(doc, args.json, _verdict_lines(doc))
         return 3
 
 

@@ -10,7 +10,7 @@ the orchestrator runs them in a fixed order and reports a verified
 witness, a Forces certificate, or a resource limit.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, isqrt, prod
 
@@ -21,10 +21,11 @@ from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
                       reduce_Ap, reduce_caseI, deglex_key)
-from .gsb import CompletionLimits, complete, is_commutative_presentation
+from .gsb import complete, is_commutative_presentation
 
 
 MAX_NORMAL_WORDS = 5000   # normal words a specialization scan may use
+MAX_SPECIALIZATIONS = 200000   # points one presented search or check scans
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +110,10 @@ class Verdict:
 
 @dataclass
 class DecideOptions:
+    """The caps of a run, handed to every decider: tuples per exhaustive
+    ring check, steps per completion, and whether closed forms go first."""
     eval_cap: int = 10 ** 7
-    gsb_limits: CompletionLimits = field(default_factory=CompletionLimits)
-    max_specializations: int = 200000
+    max_gsb_steps: int = 10 ** 6
     fast_paths: bool = True
 
 
@@ -409,7 +411,7 @@ def _normal_words(basis, at):
     return out
 
 
-def _first_image(basis, words, s, cases, options, spent, detail):
+def _first_image(basis, words, s, cases, spent, detail):
     """Evaluate the identities of each (point, identities) case in the
     quotient, reducing after every product (``GsBasis.evaluate``): the
     first nonzero normal form or None, with the running count; past the
@@ -417,9 +419,9 @@ def _first_image(basis, words, s, cases, options, spent, detail):
     j s + i of a point is variable i + 1's coefficient on ``words[j]``."""
     for k, polys in cases:
         spent += 1
-        if spent > options.max_specializations:
+        if spent > MAX_SPECIALIZATIONS:
             raise ResourceLimitError("specialization-scan",
-                                     options.max_specializations, detail)
+                                     MAX_SPECIALIZATIONS, detail)
         images = {i + 1: {w: c for w, c in zip(words, k[i::s]) if c}
                   for i in range(s)}
         for P in polys:
@@ -429,7 +431,7 @@ def _first_image(basis, words, s, cases, options, spent, detail):
     return None, spent
 
 
-def _specialization_scan(ids, basis, scan_length, options, spent, detail):
+def _specialization_scan(ids, basis, scan_length, spent, detail):
     """Evaluate every identity in the quotient at assignments over the
     normal words shorter than ``scan_length``.  Returns the first
     nonzero normal form (None when all vanish) with the running
@@ -446,7 +448,7 @@ def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     its degree.  N^n and the assignment box (each coefficient below its
     word's range p^e) give the same values: a coefficient past a range
     reduces into deg-lex smaller normal words.  The points are scanned
-    when under half the box, the whole box otherwise.
+    when fewer than the box's assignments, the whole box otherwise.
 
     A completion round may add any nonzero image: each lies in the
     least ideal that contains the generators and satisfies the
@@ -461,13 +463,13 @@ def _specialization_scan(ids, basis, scan_length, options, spent, detail):
     D = max([0] + [P.degree() for P in polys])
     n = len(normal) * s
     ranges = [rng for _, rng in normal for _ in range(s)]
-    if 2 * comb(n + D, D) < prod(ranges):
+    if comb(n + D, D) < prod(ranges):
         cases = ((k, [P for P in polys if P.degree() >= sum(k)])
                  for k in lattice_points(n, D))
     else:
         cases = ((k[::-1], polys)
                  for k in product(*(range(r) for r in reversed(ranges))))
-    return _first_image(basis, words, s, cases, options, spent, detail)
+    return _first_image(basis, words, s, cases, spent, detail)
 
 
 def _kronecker_images(ids):
@@ -535,10 +537,10 @@ def _ap_presented(ids, p, a, d, Gs, options):
     # to the next: each nonzero image joins the generators and restarts
     spent = 0
     while True:
-        basis = complete(gens, p, a, options.gsb_limits)
+        basis = complete(gens, p, a, options.max_gsb_steps)
         if is_commutative_presentation(basis):
             return None
-        nf, spent = _specialization_scan(ids, basis, at, options, spent,
+        nf, spent = _specialization_scan(ids, basis, at, spent,
                                          "p=%d a=%d" % (p, a))
         if nf is None:
             break
@@ -575,16 +577,15 @@ def decide_Ap(ids, options=None, plan=None):
     return _ap_general(ids, options, plan)
 
 
-def presented_scan_check(ids, basis, scan_length, options=None):
+def presented_scan_check(ids, basis, scan_length):
     """Re-check a presented witness against an identity set: the
     commutator must survive reduction and every identity must reduce to
     zero under every specialization over normal words shorter than
     ``scan_length``, decided exactly from the degree-bounded point set
     (``_specialization_scan``)."""
-    options = options or DecideOptions()
     if is_commutative_presentation(basis):
         return False
-    nf, _ = _specialization_scan(ids, basis, scan_length, options, 0, "verify")
+    nf, _ = _specialization_scan(ids, basis, scan_length, 0, "verify")
     return nf is None
 
 
@@ -606,8 +607,7 @@ def verify(witness, ids, options=None):
         gens, at = start
         return (all(basis.normal_form(g).is_zero() for g in gens)
                 and presented_scan_check(ids, basis,
-                                         max(witness.scan_length, at),
-                                         options))
+                                         max(witness.scan_length, at)))
     return (witness.is_commutative() is not True
             and all(witness.holds(P, options.eval_cap) for P in ids.polys))
 
@@ -644,14 +644,14 @@ def _fast_path(ids, options):
     from . import theorems
     polys = ids.polys
     if all(theorems.is_multilinear(P) for P in polys):
-        return _closed_form_verdict(theorems.multilinear_decide(list(polys)))
+        return _closed_form_verdict(theorems.multilinear_decide(polys, options))
     if len(polys) == 1:
         P = polys[0]
         if P.variables() in ([], [1]):
-            return _closed_form_verdict(theorems.univariate_decide(P))
+            return _closed_form_verdict(theorems.univariate_decide(P, options))
         Q = _central_form(P)
         if Q is not None:
-            return _closed_form_verdict(theorems.central_decide(Q))
+            return _closed_form_verdict(theorems.central_decide(Q, options))
     return None
 
 

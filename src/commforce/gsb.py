@@ -18,11 +18,11 @@ initial word occurs in w, at its first occurrence.  Initial words are
 encoded as strings so that occurrence is a substring search.  A
 GsBasis is fixed once built, so it memoizes per word the elements
 whose initial word occurs in it; the completion, whose basis changes
-at every step, scans its basis in order instead.
+at every step, scans its basis in order instead.  A completion
+stops past ``max_steps`` steps (``DecideOptions.max_gsb_steps``).
 """
 
 import heapq
-from dataclasses import dataclass
 from operator import neg
 
 from .commalg import _vp
@@ -30,14 +30,9 @@ from .errors import ResourceLimitError
 from .freealg import NcPoly, deglex_key
 
 
-# fixed caps of a completion; only its step count is configurable
+# fixed caps of a completion; its step cap is ``complete``'s max_steps
 MAX_BASIS_SIZE = 20000
 MAX_DEGREE = 40
-
-
-@dataclass
-class CompletionLimits:
-    max_steps: int = 10 ** 6
 
 
 class GsPoly:
@@ -284,14 +279,14 @@ def _compositions(f, g, p, a):
         pos = f.lead_key.find(g.lead_key, pos + 1)
 
 
-def complete(generators, p, a, limits=None):
+def complete(generators, p, a, max_steps=10 ** 6):
     """Close the generated two-sided ideal's basis under compositions.
 
     ``generators`` is a list of NcPoly (any modulus tag, coefficients
     taken mod p^a).  Returns a complete GsBasis or raises
-    ResourceLimitError carrying the partial basis.
+    ResourceLimitError carrying the partial basis once more than
+    ``max_steps`` compositions are processed.
     """
-    limits = limits or CompletionLimits()
     m = p ** a
     heap = []
     seq = 0
@@ -317,8 +312,8 @@ def complete(generators, p, a, limits=None):
 
     while heap:
         steps += 1
-        if steps > limits.max_steps:
-            fail("max_steps", limits.max_steps)
+        if steps > max_steps:
+            fail("max_steps", max_steps)
         _, _, terms = heapq.heappop(heap)
         red = reduce_terms(terms, basis, p, a)
         if not red:

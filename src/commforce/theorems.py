@@ -7,8 +7,10 @@ identity P(X) = 0 and a central one [Q(X),Y] = 0 are decided by the
 general stages themselves: ``univariate_decide`` is ``decide_Up`` and
 ``central_decide`` is ``decide_Ap`` on those shapes.  Every decider
 returns a finite witness accepted by ``decide.verify`` or None (meaning
-the shape forces commutativity).  A certification routine covers
-identities of the four-dimensional minimal witness ring.
+the shape forces commutativity).  Each hands its ``options``, the
+run's ``DecideOptions``, to the stage or to ``verify``, so the run's
+caps hold here too.  A certification routine covers identities of the
+four-dimensional minimal witness ring.
 """
 
 from dataclasses import dataclass
@@ -29,11 +31,13 @@ def _prime_divisors(N):
     return [p for p, _ in prime_factorization(N, "characteristic-factoring")]
 
 
-def _verified(p, ring, polys):
-    """(p, ring) when ``decide.verify`` accepts the ring for every
-    identity, else None."""
+def _verified(p, ring, polys, options):
+    """(p, ring), re-checked by ``decide.verify``.  The theorem
+    guarantees the ring, so a rejection is a bug, never Forces."""
     s = max([1] + [v for P in polys for v in P.variables()])
-    return (p, ring) if verify(ring, IdentitySet(s, tuple(polys))) else None
+    if not verify(ring, IdentitySet(s, tuple(polys)), options):
+        raise AssertionError("%r failed its re-check" % (ring.family,))
+    return (p, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +77,7 @@ def theta_profile(P):
     return MultilinearProfile(m, total, theta)
 
 
-def multilinear_decide(polys):
+def multilinear_decide(polys, options=None):
     """(p, ring) with the identities verified on the minimal witness
     ring, or None when the multilinear set forces commutativity."""
     profiles = [theta_profile(P) for P in polys]
@@ -85,28 +89,28 @@ def multilinear_decide(polys):
     if g == 1:
         return None
     p = 2 if g == 0 else _prime_divisors(g)[0]
-    return _verified(p, make_ring(MinRing(p)), polys)
+    return _verified(p, make_ring(MinRing(p)), polys, options)
 
 
 # ---------------------------------------------------------------------------
 # univariate and central identities
 
-def univariate_decide(P):
+def univariate_decide(P, options=None):
     """Witness (p, Up(p) ring) for a single univariate identity, or
     None: every ring satisfying P(X) = 0 is then commutative.  This is
     the ``decide_Up`` stage on the one-variable set {P}."""
     if any(v != 1 for v in P.variables()):
         raise ValueError("univariate polynomial required")
-    return decide_Up(IdentitySet(1, (P,)))
+    return decide_Up(IdentitySet(1, (P,)), options)
 
 
-def central_decide(Q):
+def central_decide(Q, options=None):
     """Witness (p, ring) for the identity [Q(X), Y] = 0, with the
     truncated free algebra F_p{u,v}/(u,v)^3, or None.  This is the
     ``decide_Ap`` stage on the two-variable set {Q Y - Y Q}."""
     if any(v != 1 for v in Q.variables()):
         raise ValueError("univariate polynomial required")
-    return decide_Ap(IdentitySet(2, (Q * Y - Y * Q,)))
+    return decide_Ap(IdentitySet(2, (Q * Y - Y * Q,)), options)
 
 
 def herstein_pair(a, b):
@@ -120,7 +124,7 @@ def herstein_pair(a, b):
 # ---------------------------------------------------------------------------
 # power and freshman identities
 
-def power_identity_decide(exponents):
+def power_identity_decide(exponents, options=None):
     """Witness for the identities (XY)^n = X^n Y^n, n over the given
     set, or None.  A witness exists iff one prime divides every C(n,2)."""
     S = sorted(set(exponents))
@@ -133,10 +137,10 @@ def power_identity_decide(exponents):
         return None
     p = _prime_divisors(g)[0]
     return _verified(p, make_ring(TruncFree(p, 3)),
-                     [(X * Y) ** n - X ** n * Y ** n for n in S])
+                     [(X * Y) ** n - X ** n * Y ** n for n in S], options)
 
 
-def freshman_decide(exponents):
+def freshman_decide(exponents, options=None):
     """Witness for (X+Y)^n = X^n + Y^n, n over the given set, or None.
     Requires every n to be a power of one prime p, all >= 4 when p = 2;
     that p can only be the one prime factor of min(S)."""
@@ -149,7 +153,7 @@ def freshman_decide(exponents):
                               for n in S):
         return None
     return _verified(p, make_ring(TruncFree(p, 3)),
-                     [(X + Y) ** n - X ** n - Y ** n for n in S])
+                     [(X + Y) ** n - X ** n - Y ** n for n in S], options)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import resource
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from commforce.cli import (ParseError, main, parse_expression,
+from commforce.cli import (ParseError, build_parser, main, parse_expression,
                            parse_identity_file, render_identities)
 from commforce.decide import DecideOptions, IdentitySet, decide_all
 from commforce.finitering import TruncFree
@@ -254,6 +255,82 @@ def test_cli_univariate_limit_stage_matches_stages(tmp_path, capsys):
         assert main(["decide", f, "--json"] + extra) == 3
         stages.append(json.loads(capsys.readouterr().out)["stage"])
     assert stages == ["candidate-primes", "candidate-primes"]
+
+
+def _capped_run(argv, capsys):
+    """(exit code, limit stage, seconds) of one capped command."""
+    start = time.perf_counter()
+    code = main(argv + ["--json"])
+    took = time.perf_counter() - start
+    return code, json.loads(capsys.readouterr().out).get("stage"), took
+
+
+@pytest.mark.parametrize("body,cap,stage", [
+    ("vars X\nid X^4 - X^2\n", "1", "upper-matrix-scan"),
+    ("vars X Y\nid X^7*Y - Y*X^7\n", "1000", "exhaustive-eval"),
+], ids=["univariate", "central"])
+def test_fast_and_slow_paths_stop_at_the_same_stage(tmp_path, capsys, body,
+                                                     cap, stage):
+    # the univariate and central fast paths are stages run under the
+    # same options, so one cap ends both paths at the same place
+    f = write(tmp_path, "f.ids", body)
+    for extra in ([], ["--no-fast-path"]):
+        code, got, took = _capped_run(["decide", f, "--max-eval", cap] + extra,
+                                      capsys)
+        assert (code, got) == (3, stage), extra
+        assert took < 2.0, extra
+
+
+@pytest.mark.parametrize("argv,stage", [
+    (["central", "X^7", "--max-eval", "1000"], "exhaustive-eval"),
+    (["power", "--set", "3", "--max-eval", "1000"], "exhaustive-eval"),
+    (["freshman", "--set", "3", "--max-eval", "1000"], "exhaustive-eval"),
+    (["univariate", "X^4-X^2", "--max-eval", "1"], "upper-matrix-scan"),
+    (["multilinear", "%(ml)s", "--max-eval", "1"], "exhaustive-eval"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_closed_form_commands_honour_max_eval(tmp_path, capsys, argv, stage):
+    paths = {"ml": write(tmp_path, "m.ids", "vars X Y\nid 2*X*Y - 2*Y*X\n")}
+    code, got, took = _capped_run([a % paths for a in argv], capsys)
+    assert (code, got) == (3, stage)
+    assert took < 2.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "2", "%(ids)s", "--max-eval", "5"],
+    ["check", "--ring", '{"family":"U","p":2}', "%(ids)s",
+     "--max-gsb-steps", "5"],
+    ["oracle", "%(ids)s", "--max-gsb-steps", "5"],
+], ids=["certify", "check", "oracle"])
+def test_unread_cap_flags_are_usage_errors(tmp_path, capsys, argv):
+    paths = {"ids": write(tmp_path, "c.ids", "vars X Y\nid [X,Y]\n")}
+    with pytest.raises(SystemExit) as e:
+        main([a % paths for a in argv])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+CAP_FLAGS = {
+    "decide": {"--max-eval", "--max-gsb-steps"},
+    "central": {"--max-eval", "--max-gsb-steps"},
+    "verify": {"--max-eval", "--max-gsb-steps"},
+    "univariate": {"--max-eval"},
+    "multilinear": {"--max-eval"},
+    "power": {"--max-eval"},
+    "freshman": {"--max-eval"},
+    "check": {"--max-eval"},
+    "oracle": {"--max-eval"},
+    "certify": set(),
+}
+
+
+def test_each_command_registers_the_cap_flags_it_reads():
+    # a command may accept only the caps its code hands on
+    sub, = [a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for a in parser._actions for opt in a.option_strings
+                    if opt in ("--max-eval", "--max-gsb-steps")}
+             for name, parser in sub.choices.items()}
+    assert flags == CAP_FLAGS
 
 
 @pytest.mark.parametrize("argv", [

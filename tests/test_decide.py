@@ -16,7 +16,7 @@ from commforce.decide import (DecideOptions, IdentitySet, Lemma33Instance,
 from commforce.errors import ResourceLimitError
 from commforce.finitering import B, Mat, Presented, Up
 from commforce.freealg import NcPoly, commutator, format_ncpoly
-from commforce.oracle import RandomProfile, random_identities
+from commforce.oracle import RandomProfile, cross_validate, random_identities
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -180,6 +180,37 @@ def test_decide_b_and_ap_reject_quartic():
     assert decide_Ap(ids(QUARTIC)) is None
 
 
+@pytest.fixture
+def case_two_hits(monkeypatch):
+    hits = []
+    real = decide._case_two_small
+
+    def spy(*args):
+        hit = real(*args)
+        hits.append(hit and hit[:3])
+        return hit
+
+    monkeypatch.setattr(decide, "_case_two_small", spy)
+    return hits
+
+
+def test_case_two_small_witness_from_decide_all(case_two_hits):
+    # the straightened part of (X^4 - X)^2 survives mod 2 with degree
+    # 8 >= 2^2, so B(2, 2, 1) is found by the explicit small-field list
+    c = commutator(X, Y)
+    S = ids(X * c - c * X ** 2, (X ** 4 - X) ** 2)
+    v = decide_all(S)
+    assert (v.kind, v.family, v.params) == ("witness", B(2, 2, 1), (2, 1))
+    assert case_two_hits == [(2, 2, 1)]
+    assert cross_validate(S, v).agree
+
+
+def test_case_two_small_witness_from_decide_b(case_two_hits):
+    hit = decide_B(ids((X ** 4 - X) ** 2, nvars=1))
+    assert hit[:3] == (2, 2, 1)
+    assert case_two_hits == [(2, 2, 1)]
+
+
 def test_decide_ap_presented_witness():
     # (x^2 + x)^2 = 0 admits a char-4 noncommutative model that no
     # tabled family in the pipeline catches
@@ -231,24 +262,24 @@ def test_eval_cap_surfaces_as_limit():
         decide_Up(ids(SEXTIC), opts)
 
 
-def test_presented_scan_limits():
+def test_presented_scan_limits(monkeypatch):
     # (X^2 + X)^2: building the witness takes two completion rounds and
     # its specialization count carries across them; a re-check starts
     # from zero and meets the same cap on its own
     sq = ids(X ** 4 + (X ** 3).scale(2) + X ** 2, nvars=1)
     p, w = decide_Ap(sq)
-    tight = DecideOptions(max_specializations=50)
+    monkeypatch.setattr(decide, "MAX_SPECIALIZATIONS", 50)
     with pytest.raises(ResourceLimitError) as e:
-        decide_Ap(sq, tight)
+        decide_Ap(sq)
     assert (e.value.stage, e.value.limit, e.value.detail) == \
         ("specialization-scan", 50, "p=2 a=2")
     with pytest.raises(ResourceLimitError) as e:
-        presented_scan_check(sq, w.basis, w.scan_length, tight)
+        presented_scan_check(sq, w.basis, w.scan_length)
     assert (e.value.stage, e.value.limit, e.value.detail) == \
         ("specialization-scan", 50, "verify")
-    roomy = DecideOptions(max_specializations=1000)
-    assert decide_Ap(sq, roomy) is not None
-    assert presented_scan_check(sq, w.basis, w.scan_length, roomy)
+    monkeypatch.setattr(decide, "MAX_SPECIALIZATIONS", 1000)
+    assert decide_Ap(sq) is not None
+    assert presented_scan_check(sq, w.basis, w.scan_length)
 
 
 SQUARE_BASIS = "X1^2\nX1*X2 + X2*X1\nX2^2"
@@ -334,7 +365,7 @@ def test_presented_scan_never_substitutes(monkeypatch):
         assert presented_scan_check(sid, w.basis, w.scan_length)
 
 
-def enumerated_scan(ids, basis, scan_length, options, spent, detail):
+def enumerated_scan(ids, basis, scan_length, spent, detail):
     # the specialization scan without the point set: every assignment of
     # the box, in plain product order, until one gives a nonzero image.
     # The words go longest first and lexicographic within a length, so
@@ -348,9 +379,9 @@ def enumerated_scan(ids, basis, scan_length, options, spent, detail):
     for k in itertools.product(*(range(r) for _, r in normal
                                  for _ in range(s))):
         spent += 1
-        if spent > options.max_specializations:
+        if spent > decide.MAX_SPECIALIZATIONS:
             raise ResourceLimitError("specialization-scan",
-                                     options.max_specializations, detail)
+                                     decide.MAX_SPECIALIZATIONS, detail)
         assignment = {i + 1: NcPoly(dict(zip(words, k[i::s])))
                       for i in range(s)}
         for P in ids.polys:
@@ -416,12 +447,11 @@ def test_evaluate_matches_reduced_substitution(witness_bases):
                         list(want.terms.items())
 
 
-def test_point_set_scan_matches_full_enumeration(witness_bases):
+def test_point_set_scan_matches_full_enumeration(witness_bases, monkeypatch):
     # the scan must agree with the full enumeration on whether every
     # specialization vanishes, and a set that fails must get a nonzero
     # reduced image
     rng = random.Random(10)
-    roomy = DecideOptions(max_specializations=10 ** 6)
     seen = set()
     for P, w in witness_bases:
         p, a = w.family.p, w.family.a
@@ -435,14 +465,16 @@ def test_point_set_scan_matches_full_enumeration(witness_bases):
                     D = max(0, *(Q.degree() for Q in S.polys))
                     points = math.comb(len(normal) * s + D, D)
                     got, _ = decide._specialization_scan(
-                        S, w.basis, length, DecideOptions(), 0, "test")
-                    ref, _ = enumerated_scan(S, w.basis, length, roomy, 0,
-                                             "test")
+                        S, w.basis, length, 0, "test")
+                    with monkeypatch.context() as roomy:
+                        roomy.setattr(decide, "MAX_SPECIALIZATIONS", 10 ** 6)
+                        ref, _ = enumerated_scan(S, w.basis, length, 0,
+                                                 "test")
                     assert (got is None) == (ref is None)
                     if got is not None:
                         assert not got.is_zero()
                         assert w.basis.normal_form(got) == got
-                    seen.add((2 * points < space, got is None))
+                    seen.add((points < space, got is None))
     assert seen == {(True, True), (True, False), (False, True),
                     (False, False)}
 
@@ -458,11 +490,11 @@ def test_completion_ends_in_the_same_basis_in_any_scan_order(monkeypatch):
     scan = decide._specialization_scan
     differs = []
 
-    def reference(ids, basis, length, options, spent, detail):
-        got = scan(ids, basis, length, options, spent, detail)
+    def reference(ids, basis, length, spent, detail):
+        got = scan(ids, basis, length, spent, detail)
         if got[0] is None:
             return got
-        ref = enumerated_scan(ids, basis, length, options, spent, detail)
+        ref = enumerated_scan(ids, basis, length, spent, detail)
         assert ref[0] is not None
         differs.append(ref[0] != got[0])
         return ref

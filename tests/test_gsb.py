@@ -5,8 +5,8 @@ import pytest
 
 from commforce.errors import ResourceLimitError
 from commforce.freealg import NcPoly, commutator
-from commforce.gsb import (CompletionLimits, GsBasis, GsPoly, _compositions,
-                           complete, initial_term, is_commutative_presentation,
+from commforce.gsb import (GsBasis, GsPoly, _compositions, complete,
+                           initial_term, is_commutative_presentation,
                            reduce_terms)
 from commforce.oracle import truncated_ideal_membership
 
@@ -66,8 +66,7 @@ def test_structural_generators_terminate(p, a):
 
 def test_completion_limit_carries_partial():
     with pytest.raises(ResourceLimitError) as info:
-        complete([Y * X, X * Y, commutator(X, Y)], 2, 1,
-                 CompletionLimits(max_steps=1))
+        complete([Y * X, X * Y, commutator(X, Y)], 2, 1, max_steps=1)
     assert info.value.partial is not None
     assert not info.value.partial.complete
 

@@ -190,6 +190,29 @@ def test_power_identity_verifies_every_exponent(monkeypatch):
         {(X * Y) ** n - X ** n * Y ** n for n in (3, 4)}]
 
 
+@pytest.mark.parametrize("closed,arg,family", [
+    (multilinear_decide, [commutator(X, Y).scale(2)], MinRing(2)),
+    (power_identity_decide, {3}, TruncFree(3, 3)),
+    (freshman_decide, {4}, TruncFree(2, 3)),
+], ids=["multilinear", "power", "freshman"])
+def test_rejected_closed_form_witness_is_a_bug(monkeypatch, closed, arg,
+                                               family):
+    # the theorem guarantees the ring, so a failed re-check raises and
+    # names it instead of reading as Forces
+    monkeypatch.setattr(theorems, "verify",
+                        lambda ring, ids, options=None: False)
+    with pytest.raises(AssertionError, match="failed its re-check") as e:
+        closed(arg)
+    assert repr(family) in str(e.value)
+
+
+def test_rejected_fast_path_witness_is_not_forces(monkeypatch):
+    monkeypatch.setattr(theorems, "verify",
+                        lambda ring, ids, options=None: False)
+    with pytest.raises(AssertionError, match="MinRing"):
+        decide_all(IdentitySet(2, (commutator(X, Y).scale(2),)))
+
+
 def test_freshman():
     assert freshman_decide({2}) is None
     assert freshman_decide({6}) is None
