@@ -7,6 +7,10 @@ column-major batches.  Constructors cover the witness families used by
 the decision procedures: 2x2 upper triangular matrices over F_p, the
 Frobenius-twisted rings over F_{p^n}, matrix rings, truncated free
 algebras and the 4-dimensional minimal ring for multilinear identities.
+Each writes its (dim, dim, dim) structure-constant array directly, the
+field families from the small tables of F_q basis products and
+Frobenius images.  The ring axioms are checked by summing reduced terms
+over the nonzero constants only.
 Identity checks run over all tuples in lexicographic order, in numpy
 batches that grow from 256 to 65536 tuples, so a failing identity stops
 after the batch that holds its first counterexample; ``holds`` lets
@@ -211,12 +215,14 @@ _DOC_KINDS = {"U": (Up, {"p": 2}), "MinRing": (MinRing, {"p": 2}),
 
 
 def family_size(family):
-    """max(dim^4, q) of a tabled family: dim^4 entries in each array
-    the axiom check builds (8 MB at dimension 32), and q = p^n elements
-    in the field that B and Mat are built over, which bounds the search
-    of ``least_irreducible(p, n)``.  TruncFree counts its dimension
-    without relations, 2^k - 1.  Exponents past 64 count as 64, which
-    keeps the size past any bound without building huge ints."""
+    """max(dim^4, q) of a tabled family: dim^4 entries in each bracketing
+    the axiom check compares (8 MB at dimension 32; the terms it sums for
+    one bracketing, dim^2 per nonzero constant, take 27 MB for B(2,16,1)),
+    and q = p^n elements in the field that B and Mat are built over,
+    which bounds the search of ``least_irreducible(p, n)``.  TruncFree
+    counts its dimension without relations, 2^k - 1.  Exponents past 64
+    count as 64, which keeps the size past any bound without building
+    huge ints."""
     q = 0
     if isinstance(family, Up):
         dim = 3
@@ -294,11 +300,13 @@ class TabledRing:
         top = (char - 1) ** 2
         bound = {}
         self._terms = []
-        for i, j, k in np.argwhere(self.table).tolist():
+        nonzero = np.nonzero(self.table)
+        for i, j, k, c in zip(*(x.tolist() for x in nonzero),
+                              self.table[nonzero].tolist()):
             start = k not in bound
             fold = not start and bound[k] + top >= 1 << 63
             bound[k] = (0 if start else char - 1 if fold else bound[k]) + top
-            self._terms.append((i, j, k, int(self.table[i, j, k]), start, fold))
+            self._terms.append((i, j, k, c, start, fold))
         self._idle = [k for k in range(self.dim) if k not in bound]
 
     @property
@@ -306,15 +314,33 @@ class TabledRing:
         return self.char ** self.dim
 
     def _check_axioms(self):
-        T = self.table
-        left = np.einsum("ijm,mkl->ijkl", T, T) % self.char
-        right = np.einsum("jkm,iml->ijkl", T, T) % self.char
-        if not np.array_equal(left, right):
+        # over the nonzero constants e_a e_b = ... + c e_m, grouped by
+        # pair (a, b): (e_a e_b) e_k = sum c e_m e_k takes row m of the
+        # table, e_k (e_a e_b) = sum c e_k e_m takes column m, and each
+        # term is reduced before it is summed, so no sum passes dim * char
+        T, char, d = self.table, self.char, self.dim
+        a, b, m = np.nonzero(T)
+        pair = a * d + b
+        first = np.ones(pair.size, dtype=bool)
+        first[1:] = pair[1:] != pair[:-1]
+        starts = np.flatnonzero(first)
+        c = T[a, b, m, None, None]
+        sums = np.zeros((2, d * d, d, d), dtype=np.int64)
+        for out, view in zip(sums, (T, T.transpose(1, 0, 2))):
+            terms = view[m]
+            terms *= c
+            terms %= char
+            out[pair[starts]] = np.add.reduceat(terms, starts, axis=0) % char
+        # e_l coefficients: left[i, j, k, l] of (e_i e_j) e_k and
+        # right[j, k, i, l] of e_i (e_j e_k)
+        left, right = sums.reshape(2, d, d, d, d)
+        if not (left == right.transpose(2, 0, 1, 3)).all():
             raise ValueError("multiplication table is not associative")
-        eye = np.eye(self.dim, dtype=np.int64)
-        one_left = np.einsum("i,ijk->jk", self.one, T) % self.char
-        one_right = np.einsum("j,ijk->ik", self.one, T) % self.char
-        if not (np.array_equal(one_left, eye) and np.array_equal(one_right, eye)):
+        # 1 e_b and e_b 1, each term reduced
+        terms = np.array((T, T.transpose(1, 0, 2)))
+        terms *= self.one[:, None, None]
+        terms %= char
+        if not (terms.sum(axis=1) % char == np.eye(d, dtype=np.int64)).all():
             raise ValueError("declared identity element is not an identity")
 
     # single-element helpers; elements are int tuples of length dim
@@ -475,86 +501,63 @@ class TabledRing:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _ring_from_basis_mul(char, labels, one, mul, family):
-    d = len(labels)
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            table[i][j] = mul(i, j)
-    return TabledRing(char, labels, one, table, family)
-
-
 def _make_up(p):
-    labels = ["e11", "e12", "e22"]
+    T = np.zeros((3, 3, 3), dtype=np.int64)
     # e11*e12 = e12, e12*e22 = e12, idempotents on the diagonal
-    prod = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}
+    T[0, 0, 0] = T[0, 1, 1] = T[1, 2, 1] = T[2, 2, 2] = 1
+    return TabledRing(p, ["e11", "e12", "e22"], [1, 0, 1], T, Up(p))
 
-    def mul(i, j):
-        v = [0, 0, 0]
-        if (i, j) in prod:
-            v[prod[(i, j)]] = 1
-        return v
 
-    return _ring_from_basis_mul(p, labels, [1, 0, 1], mul, Up(p))
+def _fq_powers(fq, x, count):
+    """(count, n) table of x^0, ..., x^(count-1) in F_q."""
+    out = [fq.one()]
+    for _ in range(count - 1):
+        out.append(fq.mul(out[-1], x))
+    return np.array(out, dtype=np.int64)
+
+
+def _fq_products(fq):
+    """(n, n, n) table of the F_q basis products: row (a, b) holds the
+    coordinates of t^a t^b."""
+    n = fq.n
+    powers = _fq_powers(fq, fq.gen() if n > 1 else fq.zero(), 2 * n - 1)
+    return powers[np.add.outer(np.arange(n), np.arange(n))]
 
 
 def _make_b(p, n, l):
+    # basis x*t^a, then y*t^a; product rule
+    # (x,y)(x',y') = (x x', x^(p^l) y' + y x'), where row a of frob is
+    # (t^a)^(p^l) = (t^(p^l))^a
     fq = Fq(p, n)
+    prods = _fq_products(fq)
+    t = fq.gen() if n > 1 else fq.zero()
+    frob = _fq_powers(fq, fq.frobenius(t, l), n)
+    T = np.zeros((2 * n, 2 * n, 2 * n), dtype=np.int64)
+    T[:n, :n, :n] = prods
+    T[:n, n:, n:] = np.einsum("ac,cbk->abk", frob, prods) % p
+    T[n:, :n, n:] = prods
     labels = ["x*t^%d" % i for i in range(n)] + ["y*t^%d" % i for i in range(n)]
-    basis_fq = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-
-    def emb(x, y):
-        return list(x) + list(y)
-
-    def mul(i, j):
-        # basis i is (x,0) for i<n else (0,y); product rule
-        # (x,y)(x',y') = (x x', x^(p^l) y' + y x')
-        x1 = basis_fq[i] if i < n else fq.zero()
-        y1 = fq.zero() if i < n else basis_fq[i - n]
-        x2 = basis_fq[j] if j < n else fq.zero()
-        y2 = fq.zero() if j < n else basis_fq[j - n]
-        xprod = fq.mul(x1, x2)
-        yprod = fq.add(fq.mul(fq.frobenius(x1, l), y2), fq.mul(y1, x2))
-        return emb(xprod, yprod)
-
-    one = emb(fq.one(), fq.zero())
-    return _ring_from_basis_mul(p, labels, one, mul, B(p, n, l))
+    one = np.zeros(2 * n, dtype=np.int64)
+    one[0] = 1
+    return TabledRing(p, labels, one, T, B(p, n, l))
 
 
 def _make_mat(k, p, n):
-    fq = Fq(p, n)
+    # basis e_ij*t^a at index (i*k + j)*n + a; e_ij e_jm = e_im
+    prods = _fq_products(Fq(p, n))
+    T = np.zeros((k, k, n) * 3, dtype=np.int64)
+    for i, j, m in product(range(k), repeat=3):
+        T[i, j, :, j, m, :, i, m, :] = prods
     d = k * k * n
-    labels = []
-    basis_fq = [tuple(1 if m == t else 0 for m in range(n)) for t in range(n)]
-    for i in range(k):
-        for j in range(k):
-            for t in range(n):
-                labels.append("e%d%d*t^%d" % (i + 1, j + 1, t))
-
-    def unpack(idx):
-        t = idx % n
-        j = (idx // n) % k
-        i = idx // (n * k)
-        return i, j, t
-
-    def mul(a, b):
-        i1, j1, t1 = unpack(a)
-        i2, j2, t2 = unpack(b)
-        v = [0] * d
-        if j1 == i2:
-            prod = fq.mul(basis_fq[t1], basis_fq[t2])
-            for t, c in enumerate(prod):
-                v[(i1 * k + j2) * n + t] = c
-        return v
-
-    one = [0] * d
-    for i in range(k):
-        one[(i * k + i) * n] = 1
-    return _ring_from_basis_mul(p, labels, one, mul, Mat(k, p, n))
+    labels = ["e%d%d*t^%d" % (i + 1, j + 1, a)
+              for i in range(k) for j in range(k) for a in range(n)]
+    one = np.zeros((k, k, n), dtype=np.int64)
+    one[range(k), range(k), 0] = 1
+    return TabledRing(p, labels, one.ravel(), T.reshape(d, d, d), Mat(k, p, n))
 
 
-def _trunc_words(k, relations):
-    rels = [tuple(w) for w in relations]
+def _trunc_words(k, rels):
+    # words over {1, 2} of length < k with no relation word as a factor
     words = []
     for length in range(k):
         for w in product((1, 2), repeat=length):
@@ -565,42 +568,28 @@ def _trunc_words(k, relations):
 
 
 def _make_truncfree(p, k, relations):
-    words = _trunc_words(k, relations)
+    rels = tuple(tuple(w) for w in relations)
+    words = _trunc_words(k, rels)
     index = {w: i for i, w in enumerate(words)}
-    rels = [tuple(w) for w in relations]
-    names = {(): "1"}
-    for w in words:
-        if w:
-            names[w] = "".join("xy"[c - 1] for c in w)
-
-    def mul(i, j):
-        v = [0] * len(words)
-        w = words[i] + words[j]
-        if len(w) < k and not any(w[a:a + len(r)] == r
-                                  for r in rels for a in range(len(w) - len(r) + 1)):
-            v[index[w]] = 1
-        return v
-
-    one = [0] * len(words)
+    d = len(words)
+    # the product of two kept words is their concatenation when kept
+    T = np.zeros((d, d, d), dtype=np.int64)
+    for i, u in enumerate(words):
+        for j, v in enumerate(words):
+            if u + v in index:
+                T[i, j, index[u + v]] = 1
+    labels = ["".join("xy"[c - 1] for c in w) or "1" for w in words]
+    one = np.zeros(d, dtype=np.int64)
     one[index[()]] = 1
-    return _ring_from_basis_mul(p, [names[w] for w in words], one, mul,
-                                TruncFree(p, k, tuple(rels)))
+    return TabledRing(p, labels, one, T, TruncFree(p, k, rels))
 
 
 def _make_minring(p):
-    labels = ["1", "u", "v", "vu"]
-    # u^2 = v^2 = uv = 0 and vu is annihilated by u, v
-    def mul(i, j):
-        v = [0, 0, 0, 0]
-        if i == 0:
-            v[j] = 1
-        elif j == 0:
-            v[i] = 1
-        elif (i, j) == (2, 1):
-            v[3] = 1
-        return v
-
-    return _ring_from_basis_mul(p, labels, [1, 0, 0, 0], mul, MinRing(p))
+    T = np.zeros((4, 4, 4), dtype=np.int64)
+    # 1 is the unit, u^2 = v^2 = uv = 0 and vu is annihilated by u, v
+    T[0, range(4), range(4)] = T[range(4), 0, range(4)] = 1
+    T[2, 1, 3] = 1
+    return TabledRing(p, ["1", "u", "v", "vu"], [1, 0, 0, 0], T, MinRing(p))
 
 
 def make_ring(family):

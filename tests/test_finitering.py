@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from commforce.finitering import (B, Fq, Mat, MinRing, Presented, TruncFree,
                                   Up, family_from_json, family_json,
                                   TabledRing, least_irreducible, make_ring)
 from commforce.freealg import NcPoly, commutator
+from commforce.oracle import SearchBounds, _families
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -303,6 +308,136 @@ def test_mul_exact_at_large_char():
     assert ring.mul(a, b) == ref
     got = ring.eval_batch(X * Y, [np.array([a]), np.array([b])])
     assert tuple(int(x) for x in got[0]) == ref
+
+
+# Z/BIG_PRIME[t]/(t^4): (BIG_PRIME - 1)^2 < 2^63, but sums of a few
+# unreduced products of its structure constants pass 2^63
+BIG_PRIME = 3037000493
+
+
+def _big_char_table(n=4, seed=0):
+    # structure constants of Z/c[t]/(t^n) in the basis
+    # f_i = sum_k P[k][i] t^k, P unitriangular with random upper entries
+    c, rng = BIG_PRIME, random.Random(seed)
+    P = [[int(i == k) for i in range(n)] for k in range(n)]
+    for k in range(n):
+        for i in range(k + 1, n):
+            P[k][i] = rng.randrange(c)
+    Q = [[int(i == k) for i in range(n)] for k in range(n)]   # P^-1 mod c
+    for i in range(n):
+        for k in range(i - 1, -1, -1):
+            Q[k][i] = -sum(P[k][m] * Q[m][i] for m in range(k + 1, i + 1)) % c
+    T = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            t = [sum(P[a][i] * P[s - a][j] for a in range(s + 1)) for s in range(n)]
+            for k in range(n):
+                T[i][j][k] = sum(Q[k][m] * t[m] for m in range(n)) % c
+    return T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_axiom_check_exact_at_large_char(seed):
+    # the table is associative with unit f_0 = 1 (checked exactly with
+    # Python ints); an int64 dense einsum wraps on it and rejects it
+    T = _big_char_table(seed=seed)
+    exact = np.array(T, dtype=object)
+    assert (np.einsum("ijm,mkl->ijkl", exact, exact) % BIG_PRIME ==
+            np.einsum("jkm,iml->ijkl", exact, exact) % BIG_PRIME).all()
+    labels = ["f0", "f1", "f2", "f3"]
+    ring = TabledRing(BIG_PRIME, labels, [1, 0, 0, 0], T, None)
+    assert ring.is_commutative() is True
+    T[1][2][3] += 1
+    with pytest.raises(ValueError, match="not associative"):
+        TabledRing(BIG_PRIME, labels, [1, 0, 0, 0], T, None)
+
+
+def _dense_axiom_error(char, one, table):
+    # the former axiom check: dense int64 einsums over all d^5 terms,
+    # exact while every sum stays below 2^63; the message it raises
+    # for (char, one, table), or None
+    T = np.array(table, dtype=np.int64) % char
+    left = np.einsum("ijm,mkl->ijkl", T, T) % char
+    right = np.einsum("jkm,iml->ijkl", T, T) % char
+    if not np.array_equal(left, right):
+        return "multiplication table is not associative"
+    eye = np.eye(len(T), dtype=np.int64)
+    one_left = np.einsum("i,ijk->jk", one, T) % char
+    one_right = np.einsum("j,ijk->ik", one, T) % char
+    if not (np.array_equal(one_left, eye) and np.array_equal(one_right, eye)):
+        return "declared identity element is not an identity"
+    return None
+
+
+def _axiom_error(char, labels, one, table):
+    try:
+        TabledRing(char, labels, one, table, None)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_axiom_check_rejects_non_associative_table():
+    # 1, u, v with u u = v, u v = u, v u = v v = 0 and unit 1:
+    # (u u) u = 0 but u (u u) = u
+    T = np.zeros((3, 3, 3), dtype=np.int64)
+    T[0, range(3), range(3)] = T[range(3), 0, range(3)] = 1
+    T[1, 1, 2] = T[1, 2, 1] = 1
+    with pytest.raises(ValueError, match="multiplication table is not associative"):
+        TabledRing(2, ["1", "u", "v"], [1, 0, 0], T, None)
+    T[1, 2, 1] = 0
+    assert _axiom_error(2, ["1", "u", "v"], [1, 0, 0], T) is None
+
+
+def test_axiom_check_rejects_wrong_unit():
+    # e11 alone is not the unit of U(2): e11 e22 = 0
+    ring = make_ring(Up(2))
+    with pytest.raises(ValueError, match="declared identity element is not an identity"):
+        TabledRing(2, ring.basis_labels, [1, 0, 0], ring.table, None)
+
+
+# the oracle's 27 families, the field and matrix rings with constants
+# c = 2 or large n, and truncated free algebras with relations
+PINNED_FAMILIES = list(_families(SearchBounds(5, 3, 4))) + [
+    B(2, 4, 3), B(3, 4, 2), Mat(2, 2, 2), Mat(2, 3, 2)] + [
+    TruncFree(p, k, r) for p in (2, 3) for k in (3, 4)
+    for r in (((1, 1), (2, 2), (1, 2)), ((2, 1),), ((1, 2, 1),))]
+
+
+def _digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def test_ring_tables_pinned():
+    # sha256 of each ring's table, unit and labels, and of its nonzero
+    # constant terms, as the former per-pair constructors built them
+    path = os.path.join(os.path.dirname(__file__), "ring_table_digests.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    assert sorted(pinned) == sorted(map(repr, PINNED_FAMILIES))
+    for fam in PINNED_FAMILIES:
+        ring = make_ring(fam)
+        assert _digest(ring.table.tobytes(), ring.one.tobytes(),
+                       ring.basis_labels) == pinned[repr(fam)]["table"], fam
+        assert _digest(ring._terms, ring._idle) == pinned[repr(fam)]["terms"], fam
+
+
+@pytest.mark.parametrize("fam", PINNED_FAMILIES, ids=repr)
+def test_axiom_check_matches_dense_check(fam):
+    # accepted as built, and after a +1 on any of a seeded sample of
+    # entries (zero or not) accepted or rejected with the dense check's
+    # message
+    ring = make_ring(fam)
+    args = (ring.char, ring.basis_labels, ring.one)
+    assert _dense_axiom_error(ring.char, ring.one, ring.table) is None
+    rng = random.Random(repr(fam))
+    cells = [tuple(int(x) for x in cell) for cell in np.argwhere(ring.table)]
+    cells = rng.sample(cells, min(4, len(cells))) + [
+        tuple(rng.randrange(ring.dim) for _ in range(3)) for _ in range(8)]
+    for cell in cells:
+        T = ring.table.copy()
+        T[cell] += 1
+        assert _axiom_error(*args, T) == _dense_axiom_error(ring.char, ring.one, T), cell
 
 
 def _dense_product(ring, A, Bm):

@@ -2,7 +2,7 @@ import json
 import os
 
 from commforce.decide import IdentitySet, Verdict, decide_all, decide_Ap
-from commforce.finitering import TruncFree, Up, make_ring
+from commforce.finitering import B, TruncFree, Up, make_ring
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import (RandomProfile, SearchBounds, cross_validate,
                               identity_digest, random_identities,
@@ -29,6 +29,16 @@ def test_search_empty_for_quartic_with_skips():
     assert res.family is None
     # the 3^7-element truncated algebra exceeds the small eval cap
     assert TruncFree(3, 3) in res.skipped
+
+
+def test_search_walk_for_commutator_pinned():
+    # the crosscheck bounds: no ring satisfies [X,Y], and the rings past
+    # the 10^7-tuple cap are skipped in enumeration order
+    res = witness_search(IdentitySet(2, (commutator(X, Y),)),
+                         SearchBounds(5, 3, 4))
+    assert res.family is None
+    assert res.skipped == [B(5, 3, 1), B(5, 3, 2), TruncFree(2, 4),
+                           TruncFree(3, 4), TruncFree(5, 3), TruncFree(5, 4)]
 
 
 def test_cross_validate_rejects_commutative_tabled_witness():
