@@ -179,13 +179,11 @@ def family_json(family):
     if isinstance(family, Up):
         return {"family": "U", "p": family.p}
     if isinstance(family, B):
-        fq = Fq(family.p, family.n)
         return {"family": "B", "p": family.p, "n": family.n, "l": family.l,
-                "modulus": list(fq.modulus)}
+                "modulus": list(least_irreducible(family.p, family.n))}
     if isinstance(family, Mat):
-        fq = Fq(family.p, family.n)
         return {"family": "Mat", "k": family.k, "p": family.p, "n": family.n,
-                "modulus": list(fq.modulus)}
+                "modulus": list(least_irreducible(family.p, family.n))}
     if isinstance(family, TruncFree):
         return {"family": "TruncFree", "p": family.p, "k": family.k,
                 "relations": [list(w) for w in family.relations]}

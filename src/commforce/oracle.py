@@ -2,11 +2,13 @@
 
 A bounded brute-force search over the small witness families gives an
 oracle that is slow but shares no search code with the decision logic;
-cross_validate compares its outcome with a verdict.  A witness is
-re-checked by the decision path's own acceptance check (decide.verify):
-a tabled ring by exhaustive evaluation, where each variable occurring
-exactly once in every word ranges over the basis only, and a presented
-witness, which has no finite table, by its specialization scan.
+cross_validate compares its outcome with a verdict.  The search refutes
+a ring on tuples of basis elements first and accepts one only by the
+exhaustive scan.  A witness is re-checked by the decision path's own
+acceptance check (decide.verify): a tabled ring by exhaustive
+evaluation, where each variable occurring exactly once in every word
+ranges over the basis only, and a presented witness, which has no
+finite table, by its specialization scan.
 Seeded random identity generation and a linear-algebra ideal membership
 checker for truncated quotients support the regression corpus.
 """
@@ -20,7 +22,8 @@ import numpy as np
 from .commalg import _primes_upto
 from .decide import DecideOptions, IdentitySet, PresentedWitness, verify
 from .errors import ResourceLimitError
-from .finitering import B, MinRing, Mat, TruncFree, Up, make_ring
+from .finitering import (B, MinRing, Mat, TruncFree, Up, family_json,
+                         make_ring)
 from .freealg import NcPoly, format_ncpoly
 
 
@@ -56,10 +59,22 @@ def _families(bounds):
         yield MinRing(p)
 
 
+def _vanishes(ring, P, eval_cap):
+    """Whether P vanishes at every tuple of the ring.  Within the cap a
+    nonzero value on a tuple of basis elements refutes it at once; the
+    exhaustive scan alone accepts, and raises past the cap."""
+    s = max(P.variables(), default=1)
+    if (ring.size ** s <= eval_cap
+            and ring._scan(P, range(1, s + 1), eval_cap) is not None):
+        return False
+    return ring.is_identity(P, eval_cap=eval_cap) is True
+
+
 def witness_search(ids, bounds=None):
     """First noncommutative ring in the bounded family enumeration on
     which every identity vanishes exhaustively.  Rings whose check
-    would exceed the evaluation cap are skipped and recorded."""
+    would exceed the evaluation cap are skipped and recorded; a ring
+    within it is refuted on basis tuples before any exhaustive scan."""
     bounds = bounds or SearchBounds()
     result = SearchResult()
     for fam in _families(bounds):
@@ -67,8 +82,7 @@ def witness_search(ids, bounds=None):
         if ring.is_commutative() is True:
             continue
         try:
-            ok = all(ring.is_identity(P, eval_cap=bounds.eval_cap) is True
-                     for P in ids.polys)
+            ok = all(_vanishes(ring, P, bounds.eval_cap) for P in ids.polys)
         except ResourceLimitError:
             result.skipped.append(fam)
             continue
@@ -95,7 +109,6 @@ class CrossReport:
     detail: str = ""
 
     def to_json(self):
-        from .finitering import family_json
         return {
             "digest": self.digest,
             "verdict": self.verdict_kind,

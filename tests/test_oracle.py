@@ -1,12 +1,16 @@
 import json
 import os
 
+import pytest
+
 from commforce.decide import IdentitySet, Verdict, decide_all, decide_Ap
-from commforce.finitering import B, TruncFree, Up, make_ring
+from commforce.errors import ResourceLimitError
+from commforce.finitering import B, TabledRing, TruncFree, Up, make_ring
 from commforce.freealg import NcPoly, commutator
-from commforce.oracle import (RandomProfile, SearchBounds, cross_validate,
-                              identity_digest, random_identities,
-                              truncated_ideal_membership, witness_search)
+from commforce.oracle import (RandomProfile, SearchBounds, _families,
+                              cross_validate, identity_digest,
+                              random_identities, truncated_ideal_membership,
+                              witness_search)
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -39,6 +43,97 @@ def test_search_walk_for_commutator_pinned():
     assert res.family is None
     assert res.skipped == [B(5, 3, 1), B(5, 3, 2), TruncFree(2, 4),
                            TruncFree(3, 4), TruncFree(5, 3), TruncFree(5, 4)]
+
+
+def _reference_walk(ids, bounds):
+    # the search as a plain exhaustive scan of every identity on every
+    # noncommutative ring, with no basis pass in front of it
+    skipped = []
+    for fam in _families(bounds):
+        ring = make_ring(fam)
+        if ring.is_commutative() is True:
+            continue
+        try:
+            ok = all(ring.is_identity(P, eval_cap=bounds.eval_cap) is True
+                     for P in ids.polys)
+        except ResourceLimitError:
+            skipped.append(fam)
+            continue
+        if ok:
+            return fam, skipped
+    return None, skipped
+
+
+def _pool_set(nvars, max_degree, max_terms, coeff_bound, seed):
+    return random_identities(seed, RandomProfile(nvars, max_degree,
+                                                 max_terms, coeff_bound, 1))
+
+
+# an 8-variable identity exceeds the 10^7-tuple cap on every ring
+WIDE = (commutator(NcPoly.var(1), NcPoly.var(2))
+        * commutator(NcPoly.var(3), NcPoly.var(4))
+        * commutator(NcPoly.var(5), NcPoly.var(6))
+        * commutator(NcPoly.var(7), NcPoly.var(8)))
+
+DIFFERENTIAL_SETS = [
+    # the crosscheck benchmark sets: [X,Y], Jacobson n = 2, 3, 5 and
+    # the pool sets t4-73, b6-70, b4-35, t4-45
+    IdentitySet(2, (commutator(X, Y),)),
+    IdentitySet(1, (X ** 2 - X,)),
+    IdentitySet(1, (X ** 3 - X,)),
+    IdentitySet(1, (X ** 5 - X,)),
+    _pool_set(3, 4, 3, 3, 73),
+    _pool_set(2, 6, 3, 2, 70),
+    _pool_set(2, 4, 4, 3, 35),
+    _pool_set(3, 4, 3, 3, 45),
+    IdentitySet(2, (QUARTIC,)),
+    IdentitySet(2, (SEXTIC,)),
+    IdentitySet(2, (commutator(X ** 2, Y),)),
+    IdentitySet(2, ()),
+    # 2X holds on every ring of characteristic 2, whose check of the
+    # second identity then exceeds the cap, so those rings are skipped;
+    # the others fail 2X at X = 1 and are not
+    IdentitySet(8, (X.scale(2), WIDE)),
+    # [X,Y] fails on a pair of basis elements of every ring it reaches,
+    # before the second identity's cap is looked at
+    IdentitySet(8, (commutator(X, Y), WIDE)),
+]
+
+
+@pytest.mark.parametrize("bounds", [SearchBounds(5, 3, 4), SMALL],
+                         ids=["crosscheck", "small"])
+@pytest.mark.parametrize("ids", DIFFERENTIAL_SETS,
+                         ids=range(len(DIFFERENTIAL_SETS)))
+def test_witness_search_matches_exhaustive_walk(ids, bounds):
+    family, skipped = _reference_walk(ids, bounds)
+    res = witness_search(ids, bounds)
+    assert res.family == family
+    assert res.skipped == skipped
+
+
+def test_witness_search_refutes_on_basis_tuples(monkeypatch):
+    # each ring within the cap is refuted on basis pairs, so it sees at
+    # most dim^2 tuples (TruncFree(3, 3) took 177,390 in the exhaustive
+    # scan), and only the skipped rings reach is_identity
+    rows, scanned = {}, []
+    eval_batch, is_identity = TabledRing.eval_batch, TabledRing.is_identity
+
+    def recording(self, P, columns):
+        rows[self] = rows.get(self, 0) + columns[0].shape[0]
+        return eval_batch(self, P, columns)
+
+    def spying(self, P, eval_cap=10 ** 7):
+        scanned.append(self.family)
+        return is_identity(self, P, eval_cap)
+
+    monkeypatch.setattr(TabledRing, "eval_batch", recording)
+    monkeypatch.setattr(TabledRing, "is_identity", spying)
+    res = witness_search(IdentitySet(2, (commutator(X, Y),)),
+                         SearchBounds(5, 3, 4))
+    assert res.family is None and len(res.skipped) == 6
+    assert rows and all(n <= ring.dim ** 2 for ring, n in rows.items())
+    assert TruncFree(3, 3) in {ring.family for ring in rows}
+    assert set(scanned) <= set(res.skipped)
 
 
 def test_cross_validate_rejects_commutative_tabled_witness():
