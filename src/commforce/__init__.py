@@ -3,10 +3,9 @@
 from .commalg import (CPoly, cartier, cartier_reconstruct,
                       field_ideal_normal_form, frobenius_scale, trial_factor,
                       univ, univariate_membership, value_gcd)
-from .decide import (DecideOptions, IdentitySet, Lemma33Instance,
-                     PresentedWitness, PrimeConstraint, Verdict,
-                     candidate_primes, decide_Ap, decide_B, decide_Up,
-                     decide_all, lemma33_decide, presented_scan_check,
+from .decide import (DecideOptions, IdentitySet, PresentedWitness,
+                     PrimeConstraint, Verdict, candidate_primes, decide_Ap,
+                     decide_B, decide_Up, decide_all, presented_scan_check,
                      verify)
 from .errors import ResourceLimitError
 from .finitering import (B, Fq, Mat, MinRing, Presented, TabledRing,

@@ -17,6 +17,11 @@ bound, an integer literal past Python's digit limit, ``--set``, a
 ``--p`` that is not a prime or too large to test), 3 when a resource
 limit was hit.
 
+``decide`` sends a set of homogeneous multilinear identities to the
+paper's criterion and every other set through the stages
+``decide_Up``, ``decide_B`` and ``decide_Ap`` (``decide_all``).  The
+other commands run one closed form each.
+
 Each command hands one ``DecideOptions`` (``_options``) to what it
 runs and takes only the cap flags that reach its code: --max-eval and
 --max-gsb-steps for decide, central and verify, neither for certify,
@@ -326,8 +331,6 @@ def _options(args):
         opts.eval_cap = args.max_eval
     if getattr(args, "max_gsb_steps", None) is not None:
         opts.max_gsb_steps = args.max_gsb_steps
-    if getattr(args, "no_fast_path", False):
-        opts.fast_paths = False
     return opts
 
 
@@ -534,8 +537,6 @@ def build_parser():
 
     d = sub.add_parser("decide", help="full decision on an identity file")
     d.add_argument("file")
-    d.add_argument("--no-fast-path", action="store_true",
-                   help="skip the closed-form special cases")
     _add_common(d, max_gsb_steps=True)
     d.set_defaults(fn=_cmd_decide)
 

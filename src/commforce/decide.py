@@ -70,18 +70,6 @@ class PrimeConstraint:
         return sorted(cands)
 
 
-@dataclass(frozen=True)
-class Lemma33Instance:
-    """Sum of (X_alpha^(p^k) - X_alpha) * A^(p^k) * B summands.
-
-    ``summands`` is a tuple of (alpha, A, B) with A, B integer CPoly in
-    ``nvars`` variables; kappa bounds all A and B degrees.
-    """
-    summands: tuple
-    nvars: int
-    kappa: int
-
-
 @dataclass
 class PresentedWitness:
     """A noncommutative quotient certified by its completed basis.
@@ -111,10 +99,9 @@ class Verdict:
 @dataclass
 class DecideOptions:
     """The caps of a run, handed to every decider: tuples per exhaustive
-    ring check, steps per completion, and whether closed forms go first."""
+    ring check and steps per completion."""
     eval_cap: int = 10 ** 7
     max_gsb_steps: int = 10 ** 6
-    fast_paths: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +228,6 @@ def _scan_bound(p, kappa):
     while p ** (n2 + 1) <= kappa * kappa + 4 * kappa + 2:
         n2 += 1
     return max(2, 2 * k1 + 1, 2 * k2 + 1, n2)
-
-
-def lemma33_decide(inst):
-    """Least (p, n, k) with k <= n/2 making the twisted sum vanish on
-    the field with p^n elements, or None."""
-    summands = [(a, A, Bm) for (a, A, Bm) in inst.summands
-                if not A.is_zero() and not Bm.is_zero()]
-    if not summands:
-        return (2, 2, 1)
-    s = inst.nvars
-    kappa = inst.kappa
-    for p in PrimeConstraint(True).candidates(kappa + 2,
-                                              _instance_gcd(summands, s)):
-        for n in range(2, _scan_bound(p, kappa) + 1):
-            for k in range(1, n // 2 + 1):
-                if _instance_member(summands, s, p, n, k):
-                    return (p, n, k)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -630,28 +599,13 @@ def _closed_form_verdict(hit):
     return Verdict("forces") if hit is None else _witness_verdict(*hit)
 
 
-def _central_form(P):
-    """The univariate Q with P = Q(X)Y - YQ(X), if P has that shape."""
-    if P.variables() != [1, 2]:
-        return None
-    Q = NcPoly({w[:-1]: c for w, c in P.terms.items()
-                if w[-1:] == (2,) and 2 not in w[:-1]})
-    Y = NcPoly.var(2)
-    return Q if Q * Y - Y * Q == P else None
-
-
 def _fast_path(ids, options):
+    """The paper's criterion when every identity is homogeneous
+    multilinear (``theorems.multilinear_decide``), else None."""
     from . import theorems
-    polys = ids.polys
-    if all(theorems.is_multilinear(P) for P in polys):
-        return _closed_form_verdict(theorems.multilinear_decide(polys, options))
-    if len(polys) == 1:
-        P = polys[0]
-        if P.variables() in ([], [1]):
-            return _closed_form_verdict(theorems.univariate_decide(P, options))
-        Q = _central_form(P)
-        if Q is not None:
-            return _closed_form_verdict(theorems.central_decide(Q, options))
+    if all(theorems.is_multilinear(P) for P in ids.polys):
+        return _closed_form_verdict(
+            theorems.multilinear_decide(ids.polys, options))
     return None
 
 
@@ -663,6 +617,9 @@ def _limit_verdict(err):
 def decide_all(ids, options=None):
     """Full decision: Forces, a verified Witness, or ResourceLimit.
 
+    A set of homogeneous multilinear identities is decided by the
+    paper's criterion (``_fast_path``).  Every other set goes through
+    the stages ``decide_Up``, ``decide_B`` and ``decide_Ap`` in turn.
     The prime constraint is derived once and handed to every stage;
     when one stage hits a limit the later ones still run, and the
     first limit is reported only if no witness turns up."""
@@ -671,10 +628,9 @@ def decide_all(ids, options=None):
         ring = make_ring(Mat(2, 2, 1))
         return _witness_verdict(2, ring)
     try:
-        if options.fast_paths:
-            fp = _fast_path(ids, options)
-            if fp is not None:
-                return fp
+        fp = _fast_path(ids, options)
+        if fp is not None:
+            return fp
         plan = candidate_primes(ids)
     except ResourceLimitError as err:
         return _limit_verdict(err)

@@ -11,10 +11,11 @@ import pytest
 
 from commforce.cli import (ParseError, build_parser, main, parse_expression,
                            parse_identity_file, render_identities)
-from commforce.decide import DecideOptions, IdentitySet, decide_all
-from commforce.finitering import TruncFree
+from commforce.decide import IdentitySet, decide_all, verify
+from commforce.finitering import B, TruncFree, Up, family_json
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import cross_validate
+from commforce.theorems import central_decide
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -189,17 +190,37 @@ def test_cli_verify_derives_the_presented_scan_length(tmp_path, capsys,
 
 
 def test_central_quintic_witness_checks_agree(tmp_path, capsys):
-    # [X^5,Y]: the fast path and the stages give the same TruncFree(5,3)
-    # witness, and the re-checks accept it with Y over the basis only
+    # [X^5,Y]: the closed form and decide_all, which runs the stages on
+    # it, give the same TruncFree(5,3) witness, and the re-checks accept
+    # it with Y over the basis only
     ids = IdentitySet(2, (commutator(X ** 5, Y),))
-    fast = decide_all(ids)
-    slow = decide_all(ids, DecideOptions(fast_paths=False))
-    assert fast.family == slow.family == TruncFree(5, 3)
-    assert cross_validate(ids, fast).agree
+    _, ring = central_decide(X ** 5)
+    staged = decide_all(ids)
+    assert ring.family == staged.family == TruncFree(5, 3)
+    assert verify(ring, ids) and verify(staged.witness, ids)
+    assert cross_validate(ids, staged).agree
     f = write(tmp_path, "q.ids", "vars X Y\nid [X^5,Y]\n")
     assert main(["decide", f, "--json"]) == 0
     w = write(tmp_path, "w.json", capsys.readouterr().out)
     assert main(["verify", w, f]) == 0
+
+
+@pytest.mark.parametrize("Q,text,family,closed", [
+    ((X ** 3).scale(3), "3*X^3", Up(3), TruncFree(3, 3)),
+    (X ** 6, "X^6", B(2, 2, 1), TruncFree(2, 3)),
+], ids=["3X^3", "X^6"])
+def test_central_identity_decides_through_the_stages(tmp_path, capsys, Q,
+                                                     text, family, closed):
+    # decide runs the stages on [Q(X),Y], so decide_Up or decide_B may
+    # answer before decide_Ap; the central command runs decide_Ap alone
+    ids = IdentitySet(2, (commutator(Q, Y),))
+    v = decide_all(ids)
+    assert v.family == family
+    assert verify(v.witness, ids) and cross_validate(ids, v).agree
+    f = write(tmp_path, "c.ids", "vars X Y\nid [%s,Y]\n" % text)
+    for argv, fam in ((["decide", f], family), (["central", text], closed)):
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ring"] == family_json(fam)
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -214,7 +235,7 @@ def test_cli_oracle(tmp_path, capsys):
 
 def test_cli_resource_limit_exit_3(tmp_path, capsys):
     f = write(tmp_path, "a.ids", SEXTIC_FILE)
-    code = main(["decide", f, "--no-fast-path", "--max-eval", "4", "--json"])
+    code = main(["decide", f, "--max-eval", "4", "--json"])
     capsys.readouterr()
     assert code == 3
 
@@ -224,7 +245,6 @@ BIG = "2305843009213693951"   # 2^61 - 1, prime, beyond trial division
 
 HUGE = [
     (["decide", "%(big)s"], "characteristic-factoring"),
-    (["decide", "--no-fast-path", "%(big)s"], "characteristic-factoring"),
     (["univariate", BIG + "*X"], "candidate-primes"),
     (["central", BIG + "*X^2"], "characteristic-factoring"),
     (["power", "--set", "4611686014132420609"], "characteristic-factoring"),
@@ -236,8 +256,11 @@ HUGE = [
 ]
 
 
+# argv1 was "decide --no-fast-path", the same command as argv0 once
+# decide took one route; the other ids keep their numbers
 @pytest.mark.parametrize("argv,stage", HUGE,
-                         ids=["argv%d" % i for i in range(len(HUGE))])
+                         ids=["argv0"] + ["argv%d" % i
+                                          for i in range(2, len(HUGE) + 1)])
 def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv, stage):
     big = write(tmp_path, "big.ids", "vars X Y\nid %s*[X,Y]\n" % BIG)
     assert main([a % {"big": big} for a in argv] + ["--json"]) == 3
@@ -246,13 +269,14 @@ def test_cli_huge_numbers_exit_3(tmp_path, capsys, argv, stage):
 
 
 def test_cli_univariate_limit_stage_matches_stages(tmp_path, capsys):
-    # the univariate fast path is the decide_Up stage, so it stops where
-    # the stages do: factoring the value gcd 2^61 - 1.  (c*X is also
-    # multilinear and takes the multilinear fast path, hence X^2.)
+    # the univariate closed form is the decide_Up stage, so it stops
+    # where decide's stages do: factoring the value gcd 2^61 - 1.  (c*X
+    # is also multilinear and goes to the multilinear criterion, hence
+    # X^2.)
     f = write(tmp_path, "u.ids", "vars X\nid %s*X^2\n" % BIG)
     stages = []
-    for extra in ([], ["--no-fast-path"]):
-        assert main(["decide", f, "--json"] + extra) == 3
+    for argv in (["decide", f], ["univariate", BIG + "*X^2"]):
+        assert main(argv + ["--json"]) == 3
         stages.append(json.loads(capsys.readouterr().out)["stage"])
     assert stages == ["candidate-primes", "candidate-primes"]
 
@@ -265,20 +289,21 @@ def _capped_run(argv, capsys):
     return code, json.loads(capsys.readouterr().out).get("stage"), took
 
 
-@pytest.mark.parametrize("body,cap,stage", [
-    ("vars X\nid X^4 - X^2\n", "1", "upper-matrix-scan"),
-    ("vars X Y\nid X^7*Y - Y*X^7\n", "1000", "exhaustive-eval"),
+@pytest.mark.parametrize("body,closed,cap,stage", [
+    ("vars X\nid X^4 - X^2\n", ["univariate", "X^4-X^2"], "1",
+     "upper-matrix-scan"),
+    ("vars X Y\nid X^7*Y - Y*X^7\n", ["central", "X^7"], "1000",
+     "exhaustive-eval"),
 ], ids=["univariate", "central"])
 def test_fast_and_slow_paths_stop_at_the_same_stage(tmp_path, capsys, body,
-                                                     cap, stage):
-    # the univariate and central fast paths are stages run under the
-    # same options, so one cap ends both paths at the same place
+                                                     closed, cap, stage):
+    # the univariate and central closed forms are stages run under the
+    # same options, so one cap ends them and decide at the same place
     f = write(tmp_path, "f.ids", body)
-    for extra in ([], ["--no-fast-path"]):
-        code, got, took = _capped_run(["decide", f, "--max-eval", cap] + extra,
-                                      capsys)
-        assert (code, got) == (3, stage), extra
-        assert took < 2.0, extra
+    for argv in (["decide", f], closed):
+        code, got, took = _capped_run(argv + ["--max-eval", cap], capsys)
+        assert (code, got) == (3, stage), argv
+        assert took < 2.0, argv
 
 
 @pytest.mark.parametrize("argv,stage", [
@@ -300,7 +325,8 @@ def test_closed_form_commands_honour_max_eval(tmp_path, capsys, argv, stage):
     ["check", "--ring", '{"family":"U","p":2}', "%(ids)s",
      "--max-gsb-steps", "5"],
     ["oracle", "%(ids)s", "--max-gsb-steps", "5"],
-], ids=["certify", "check", "oracle"])
+    ["decide", "%(ids)s", "--no-fast-path"],
+], ids=["certify", "check", "oracle", "decide"])
 def test_unread_cap_flags_are_usage_errors(tmp_path, capsys, argv):
     paths = {"ids": write(tmp_path, "c.ids", "vars X Y\nid [X,Y]\n")}
     with pytest.raises(SystemExit) as e:

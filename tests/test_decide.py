@@ -6,13 +6,12 @@ import time
 
 import pytest
 
-from commforce import commalg, decide
+from commforce import commalg, decide, theorems
 from commforce.cli import verdict_doc
-from commforce.commalg import CPoly
-from commforce.decide import (DecideOptions, IdentitySet, Lemma33Instance,
-                              PresentedWitness, PrimeConstraint,
+from commforce.decide import (DecideOptions, IdentitySet, PresentedWitness,
+                              PrimeConstraint, _closed_form_verdict,
                               candidate_primes, decide_Ap, decide_B, decide_Up,
-                              decide_all, lemma33_decide, presented_scan_check)
+                              decide_all, presented_scan_check, verify)
 from commforce.errors import ResourceLimitError
 from commforce.finitering import B, Mat, Presented, Up
 from commforce.freealg import NcPoly, commutator, format_ncpoly
@@ -71,16 +70,23 @@ def test_finite_plan_candidates_filter_the_unrestricted_ones():
                 [p for p in full if p in (2, 3, 7)]
 
 
+def decided(s, fast, run_stages):
+    """``decide_all``, which sends a multilinear set to the paper's
+    criterion, when ``fast``; otherwise the three stages alone."""
+    return decide_all(s) if fast else run_stages(s)
+
+
 @pytest.mark.parametrize("fast", [True, False])
-def test_decide_all_reports_factoring_limit(fast):
+def test_decide_all_reports_factoring_limit(fast, run_stages):
+    # big [X,Y] is multilinear: the criterion and the stages both stop
+    # factoring big
     big = 2 ** 61 - 1
-    v = decide_all(ids(commutator(X, Y).scale(big)),
-                   DecideOptions(fast_paths=fast))
+    v = decided(ids(commutator(X, Y).scale(big)), fast, run_stages)
     assert (v.kind, v.stage, v.limit) == \
         ("limit", "characteristic-factoring", big)
 
 
-def test_gcd_is_factored_once_across_stages(monkeypatch):
+def test_gcd_is_factored_once_across_stages(monkeypatch, run_stages):
     # decide_Up, _case_one and _ap_flat all factor the same g; its
     # budget overflow is remembered, each stage still reports its limit
     big = 2 ** 61 - 1
@@ -95,8 +101,7 @@ def test_gcd_is_factored_once_across_stages(monkeypatch):
 
     monkeypatch.setattr(commalg, "trial_factor", counting)
     commalg._factor_outcome.cache_clear()
-    v = decide_all(ids(commutator(X, Y).scale(big)),
-                   DecideOptions(fast_paths=False))
+    v = run_stages(ids(commutator(X, Y).scale(big)))
     commalg._factor_outcome.cache_clear()
     assert (v.kind, v.stage, v.limit) == \
         ("limit", "characteristic-factoring", big)
@@ -109,15 +114,16 @@ PROFILES = [RandomProfile(1, 6, 4, 3, 1), RandomProfile(2, 4, 4, 3, 1),
 
 
 @pytest.mark.parametrize("fast", [True, False])
-def test_prime_plan_matches_unrestricted_stages(monkeypatch, fast):
+def test_prime_plan_matches_unrestricted_stages(monkeypatch, fast,
+                                               run_stages):
     # a prime the plan drops can host no model, so handing every stage
     # the unrestricted constraint instead must not change any verdict
     sets = [random_identities(seed, pr)
             for pr in PROFILES for seed in range(100, 150)]
-    opts = DecideOptions(fast_paths=fast)
 
     def docs():
-        return [json.dumps(verdict_doc("decide", decide_all(s, opts)))
+        return [json.dumps(verdict_doc("decide",
+                                       decided(s, fast, run_stages)))
                 for s in sets]
 
     planned = docs()
@@ -151,17 +157,6 @@ def test_decide_all_sextic_witness():
     assert v.prime == 2 and v.family == Up(2)
     a, b = v.pair
     assert v.witness.mul(a, b) != v.witness.mul(b, a)
-
-
-def test_lemma33_empty_instance():
-    one = CPoly({(0,): 1}, 1, None)
-    inst = Lemma33Instance(((1, one - one, one),), 1, 0)
-    assert lemma33_decide(inst) == (2, 2, 1)
-
-
-def test_lemma33_unit_summand_has_no_solution():
-    one = CPoly({(0,): 1}, 1, None)
-    assert lemma33_decide(Lemma33Instance(((1, one, one),), 1, 0)) is None
 
 
 def test_decide_b_twisted_identity():
@@ -240,16 +235,31 @@ def test_decide_all_empty_set_witness():
     assert v.family == Mat(2, 2, 1)
 
 
-def test_fast_path_consistency():
-    for P in [X ** 2 - X, commutator(X, Y) * 1, SEXTIC]:
-        fast = decide_all(ids(P))
-        slow = decide_all(ids(P), DecideOptions(fast_paths=False))
-        assert fast.kind == slow.kind
-        if fast.kind == "witness":
-            assert fast.prime == slow.prime
+def test_fast_path_consistency(run_stages):
+    # each closed form against the three stages on its own shape: the
+    # same kind, and every witness passes verify
+    cases = [
+        (theorems.univariate_decide(X ** 2 - X), ids(X ** 2 - X, nvars=1)),
+        (theorems.univariate_decide(X ** 4 - X ** 2), ids(X ** 4 - X ** 2,
+                                                           nvars=1)),
+        (theorems.multilinear_decide([commutator(X, Y)]),
+         ids(commutator(X, Y))),
+        (theorems.multilinear_decide([commutator(X, Y).scale(2)]),
+         ids(commutator(X, Y).scale(2))),
+        (theorems.central_decide(X ** 3), ids(commutator(X ** 3, Y))),
+        (theorems.central_decide(X ** 2 - X), ids(commutator(X ** 2 - X, Y))),
+    ]
+    for hit, s in cases:
+        closed = _closed_form_verdict(hit)
+        staged = run_stages(s)
+        assert closed.kind == staged.kind, s
+        for v in (closed, staged):
+            assert v.kind != "witness" or verify(v.witness, s), s
+    # no closed form takes the sextic, so decide_all is the stages
+    assert decide_all(ids(SEXTIC)).family == run_stages(ids(SEXTIC)).family
 
 
-def test_central_fast_path_reports_eval_limit():
+def test_central_identity_reports_eval_limit():
     # TruncFree(11,3) has 11^7 elements: the witness check stops at the
     # tuple count before it allocates anything
     v = decide_all(ids(commutator(X ** 11, Y)))
@@ -257,7 +267,7 @@ def test_central_fast_path_reports_eval_limit():
 
 
 def test_eval_cap_surfaces_as_limit():
-    opts = DecideOptions(eval_cap=4, fast_paths=False)
+    opts = DecideOptions(eval_cap=4)
     with pytest.raises(ResourceLimitError):
         decide_Up(ids(SEXTIC), opts)
 
