@@ -19,8 +19,11 @@ limit was hit.
 
 ``decide`` sends a set of homogeneous multilinear identities to the
 paper's criterion and every other set through the stages
-``decide_Up``, ``decide_B`` and ``decide_Ap`` (``decide_all``).  The
-other commands run one closed form each.
+``decide_Up``, ``decide_B`` and ``decide_Ap`` (``decide_all``); a
+single univariate identity needs ``decide_Up`` alone and a single
+``[Q(X), Y]`` ``decide_Ap`` alone, so there ``decide`` answers as the
+``univariate`` and ``central`` commands do.  The other commands run
+one closed form each.
 
 Each command hands one ``DecideOptions`` (``_options``) to what it
 runs and takes only the cap flags that reach its code: --max-eval and

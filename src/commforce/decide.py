@@ -599,6 +599,16 @@ def _closed_form_verdict(hit):
     return Verdict("forces") if hit is None else _witness_verdict(*hit)
 
 
+def _central_form(P):
+    """The univariate Q with P = Q(X)Y - YQ(X), if P has that shape."""
+    if P.variables() != [1, 2]:
+        return None
+    Q = NcPoly({w[:-1]: c for w, c in P.terms.items()
+                if w[-1:] == (2,) and 2 not in w[:-1]})
+    Y = NcPoly.var(2)
+    return Q if Q * Y - Y * Q == P else None
+
+
 def _fast_path(ids, options):
     """The paper's criterion when every identity is homogeneous
     multilinear (``theorems.multilinear_decide``), else None."""
@@ -614,30 +624,20 @@ def _limit_verdict(err):
                    detail=err.detail)
 
 
-def decide_all(ids, options=None):
-    """Full decision: Forces, a verified Witness, or ResourceLimit.
-
-    A set of homogeneous multilinear identities is decided by the
-    paper's criterion (``_fast_path``).  Every other set goes through
-    the stages ``decide_Up``, ``decide_B`` and ``decide_Ap`` in turn.
-    The prime constraint is derived once and handed to every stage;
-    when one stage hits a limit the later ones still run, and the
-    first limit is reported only if no witness turns up."""
-    options = options or DecideOptions()
-    if not ids.polys or all(P.is_zero() for P in ids.polys):
-        ring = make_ring(Mat(2, 2, 1))
-        return _witness_verdict(2, ring)
+def _stages(ids, options, stages=None):
+    """The general algorithm: one ``candidate_primes`` plan handed to
+    each stage in turn, ``decide_Up``, ``decide_B`` and ``decide_Ap``
+    unless ``stages`` names fewer.  A witness ends the run; when a stage
+    hits a limit the later ones still run, and the first limit is
+    reported only if no witness turns up."""
     try:
-        fp = _fast_path(ids, options)
-        if fp is not None:
-            return fp
         plan = candidate_primes(ids)
     except ResourceLimitError as err:
         return _limit_verdict(err)
     if not plan.all_primes and not plan.primes:
         return Verdict("forces")
     limited = None
-    for stage in (decide_Up, decide_B, decide_Ap):
+    for stage in stages or (decide_Up, decide_B, decide_Ap):
         try:
             hit = stage(ids, options, plan=plan)
         except ResourceLimitError as err:
@@ -649,3 +649,35 @@ def decide_all(ids, options=None):
     if limited is not None:
         return _limit_verdict(limited)
     return Verdict("forces")
+
+
+def decide_all(ids, options=None):
+    """Full decision: Forces, a verified Witness, or ResourceLimit.
+
+    A set of homogeneous multilinear identities is decided by the
+    paper's criterion (``_fast_path``).  Every other set goes through
+    the stages (``_stages``).  A single identity of one of two shapes
+    needs only one stage, the one the theory makes complete for it: a
+    noncommutative ring satisfying P(X) = 0 exists only when some Up(p)
+    does (``theorems.univariate_decide``), and one satisfying
+    [Q(X), Y] = 0 only when a local ring with central commutators does
+    (``theorems.central_decide``).  The other stages could find no
+    answer those miss, only hit a limit or scan for a long time."""
+    options = options or DecideOptions()
+    if not ids.polys or all(P.is_zero() for P in ids.polys):
+        ring = make_ring(Mat(2, 2, 1))
+        return _witness_verdict(2, ring)
+    try:
+        fp = _fast_path(ids, options)
+    except ResourceLimitError as err:
+        return _limit_verdict(err)
+    if fp is not None:
+        return fp
+    if len(ids.polys) == 1:
+        # over the variables the identity uses, not all those declared
+        P = ids.polys[0]
+        if P.variables() in ([], [1]):
+            return _stages(IdentitySet(1, (P,)), options, (decide_Up,))
+        if _central_form(P) is not None:
+            return _stages(IdentitySet(2, (P,)), options, (decide_Ap,))
+    return _stages(ids, options)

@@ -6,38 +6,13 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from commforce import decide  # noqa: E402
-from commforce.errors import ResourceLimitError  # noqa: E402
-
-
-def _run_stages(ids, options=None):
-    """The three stages alone, without the multilinear criterion: one
-    ``candidate_primes`` plan handed to ``decide_Up``, ``decide_B`` and
-    ``decide_Ap`` in turn, the first limit standing only when no witness
-    turns up.  Stages are looked up on the module, so a patched stage
-    is the one run."""
-    options = options or decide.DecideOptions()
-    try:
-        plan = decide.candidate_primes(ids)
-    except ResourceLimitError as err:
-        return decide._limit_verdict(err)
-    if not plan.all_primes and not plan.primes:
-        return decide.Verdict("forces")
-    limited = None
-    for name in ("decide_Up", "decide_B", "decide_Ap"):
-        try:
-            hit = getattr(decide, name)(ids, options, plan=plan)
-        except ResourceLimitError as err:
-            limited = limited or err
-            continue
-        if hit:
-            return decide._witness_verdict(hit[0], hit[-1], params=hit[1:-1])
-    if limited is not None:
-        return decide._limit_verdict(limited)
-    return decide.Verdict("forces")
 
 
 @pytest.fixture
 def run_stages():
     """A differential reference for ``decide_all`` and the closed forms:
-    see ``_run_stages``."""
-    return _run_stages
+    all three stages (``decide._stages``), without the multilinear
+    criterion or the one-variable stop.  Stages are looked up on the
+    module when it runs, so a patched stage is the one run."""
+    return lambda ids, options=None: decide._stages(
+        ids, options or decide.DecideOptions())

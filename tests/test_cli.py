@@ -189,14 +189,16 @@ def test_cli_verify_derives_the_presented_scan_length(tmp_path, capsys,
     assert "REJECTED" in capsys.readouterr().out
 
 
-def test_central_quintic_witness_checks_agree(tmp_path, capsys):
-    # [X^5,Y]: the closed form and decide_all, which runs the stages on
-    # it, give the same TruncFree(5,3) witness, and the re-checks accept
-    # it with Y over the basis only
+def test_central_quintic_witness_checks_agree(tmp_path, capsys,
+                                              run_stages):
+    # [X^5,Y]: the closed form, decide_all and the three stages give the
+    # same TruncFree(5,3) witness, and the re-checks accept it with Y
+    # over the basis only
     ids = IdentitySet(2, (commutator(X ** 5, Y),))
     _, ring = central_decide(X ** 5)
-    staged = decide_all(ids)
-    assert ring.family == staged.family == TruncFree(5, 3)
+    staged = run_stages(ids)
+    assert ring.family == decide_all(ids).family == staged.family == \
+        TruncFree(5, 3)
     assert verify(ring, ids) and verify(staged.witness, ids)
     assert cross_validate(ids, staged).agree
     f = write(tmp_path, "q.ids", "vars X Y\nid [X^5,Y]\n")
@@ -205,22 +207,24 @@ def test_central_quintic_witness_checks_agree(tmp_path, capsys):
     assert main(["verify", w, f]) == 0
 
 
-@pytest.mark.parametrize("Q,text,family,closed", [
+@pytest.mark.parametrize("Q,text,staged,closed", [
     ((X ** 3).scale(3), "3*X^3", Up(3), TruncFree(3, 3)),
     (X ** 6, "X^6", B(2, 2, 1), TruncFree(2, 3)),
 ], ids=["3X^3", "X^6"])
-def test_central_identity_decides_through_the_stages(tmp_path, capsys, Q,
-                                                     text, family, closed):
-    # decide runs the stages on [Q(X),Y], so decide_Up or decide_B may
-    # answer before decide_Ap; the central command runs decide_Ap alone
+def test_central_identity_decides_by_decide_ap(tmp_path, capsys, run_stages,
+                                               Q, text, staged, closed):
+    # decide_Ap alone decides [Q(X),Y], so decide answers as the central
+    # command does; the three stages find a smaller ring first, and every
+    # witness passes verify and the cross-check
     ids = IdentitySet(2, (commutator(Q, Y),))
-    v = decide_all(ids)
-    assert v.family == family
-    assert verify(v.witness, ids) and cross_validate(ids, v).agree
+    for v, fam in ((decide_all(ids), closed), (run_stages(ids), staged)):
+        assert v.family == fam
+        assert verify(v.witness, ids) and cross_validate(ids, v).agree
     f = write(tmp_path, "c.ids", "vars X Y\nid [%s,Y]\n" % text)
-    for argv, fam in ((["decide", f], family), (["central", text], closed)):
+    for argv in (["decide", f], ["central", text]):
         assert main(argv + ["--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["ring"] == family_json(fam)
+        assert json.loads(capsys.readouterr().out)["ring"] == \
+            family_json(closed)
 
 
 def test_cli_oracle(tmp_path, capsys):
@@ -304,6 +308,20 @@ def test_fast_and_slow_paths_stop_at_the_same_stage(tmp_path, capsys, body,
         code, got, took = _capped_run(argv + ["--max-eval", cap], capsys)
         assert (code, got) == (3, stage), argv
         assert took < 2.0, argv
+
+
+@pytest.mark.parametrize("body,cap", [
+    ("vars X\nid X^17 - X\n", "64"),
+    ("vars X Y\nid X^2 - X\n", "10"),
+], ids=["X^17-X", "unused-Y"])
+def test_cli_univariate_forces_under_a_small_eval_cap(tmp_path, capsys, body,
+                                                      cap):
+    # decide runs decide_Up alone on one identity in one variable, and
+    # over that variable only: no B(2,m,l) past the cap is built, and an
+    # unused declared variable does not raise the 8^s matrix scan
+    f = write(tmp_path, "u.ids", body)
+    assert main(["decide", f, "--max-eval", cap, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "forces"
 
 
 @pytest.mark.parametrize("argv,stage", [

@@ -259,6 +259,29 @@ def test_fast_path_consistency(run_stages):
     assert decide_all(ids(SEXTIC)).family == run_stages(ids(SEXTIC)).family
 
 
+@pytest.mark.parametrize("n,cap", [(17, 64), (257, 1000), (999, 10 ** 7)])
+def test_univariate_identity_stops_after_decide_up(n, cap, run_stages):
+    # decide_Up alone decides one identity in one variable; decide_B
+    # would build and scan B(2,m,l) for every 2^m <= n, hitting a small
+    # cap or taking seconds under the default one
+    s = ids(X ** n - X, nvars=1)
+    opts = DecideOptions(eval_cap=cap)
+    t = time.perf_counter()
+    assert decide_all(s, opts).kind == "forces"
+    assert time.perf_counter() - t < 2.0
+    if cap < 10 ** 7:
+        assert run_stages(s, opts).stage == "exhaustive-eval"
+
+
+def test_central_identity_skips_the_twisted_ring_scan():
+    # decide_Ap alone decides [Q(X),Y]; decide_B's twist-membership scan
+    # on this Q runs for seconds before it finds nothing
+    t = time.perf_counter()
+    v = decide_all(ids(commutator((X ** 257).scale(3) + X.scale(2), Y)))
+    assert v.kind == "forces"
+    assert time.perf_counter() - t < 2.0
+
+
 def test_central_identity_reports_eval_limit():
     # TruncFree(11,3) has 11^7 elements: the witness check stops at the
     # tuple count before it allocates anything
