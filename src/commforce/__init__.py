@@ -14,11 +14,9 @@ from .finitering import (B, Fq, Mat, MinRing, Presented, TabledRing,
 from .freealg import (ApForm, CaseIForm, NcPoly, abelianize, bar_transversal,
                       commutator, format_ncpoly, from_cpoly, reduce_Ap,
                       reduce_caseI)
-from .gsb import (GsBasis, GsPoly, complete, initial_term,
-                  is_commutative_presentation)
+from .gsb import GsBasis, GsPoly, complete, is_commutative_presentation
 from .oracle import (CrossReport, RandomProfile, SearchBounds, cross_validate,
-                     identity_digest, random_identities,
-                     truncated_ideal_membership, witness_search)
+                     identity_digest, random_identities, witness_search)
 from .theorems import (MinRingCertificate, MultilinearProfile,
                        NotIdentityReport, central_decide, freshman_decide,
                        herstein_pair, is_multilinear, min_ring_certify,

@@ -21,7 +21,7 @@ from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
                       reduce_Ap, reduce_caseI, deglex_key)
-from .gsb import complete, is_commutative_presentation
+from .gsb import adjoin, complete, is_commutative_presentation
 
 
 MAX_NORMAL_WORDS = 5000   # normal words a specialization scan may use
@@ -465,8 +465,12 @@ def _presentation(p, a, d, Gs):
     """(starting generators, scan length a t) of the two-generator
     presentation for characteristic p^a, from ``_kronecker_images``, or
     None when no image has content exponent b = min(a, v_p(d)).  The
-    generators make commutators central with square zero, kill p [X, Y]
-    and p^b times every word of length a t."""
+    first five generators, X[X, Y], Y[X, Y], [X, Y]X, [X, Y]Y and
+    p[X, Y], make commutators central with square zero and kill
+    p[X, Y]; the word generators after them kill p^b times every word
+    of length a t.  From a t = 3 on, those are the words X^i Y^(a t - i)
+    (the commutator generators sort any other word into one of them),
+    which ``_first_basis`` appends without completing them."""
     b = min(a, _vp(d, p))
     pick = None
     for G in Gs:
@@ -495,18 +499,35 @@ def _presentation(p, a, d, Gs):
     return gens, at
 
 
+def _first_basis(gens, at, p, a, max_steps):
+    """The complete basis of ``_presentation``'s generators: the
+    commutator generators completed together with any word generator
+    shorter than 3, then the longer word generators appended as they
+    are (``gsb.adjoin``), so ``max_steps`` bounds the commutator
+    completion alone.  It equals ``complete(gens)`` element for
+    element: every leading word of the commutator completion contains
+    YX and no word X^i Y^j does, so the words are irreducible modulo it
+    and modulo each other, and every composition involving one reduces
+    to zero.  Shorter words can absorb those leading words, so they are
+    completed."""
+    cut = 5 if at >= 3 else len(gens)
+    return adjoin(complete(gens[:cut], p, a, max_steps), gens[cut:])
+
+
 def _ap_presented(ids, p, a, d, Gs, options):
     """Build the two-generator presentation for characteristic p^a and
-    decide by completion whether a noncommutative model survives."""
+    decide by completion whether a noncommutative model survives.  The
+    first round's basis is ``_first_basis``; each later round completes
+    the generators together with the images found so far."""
     start = _presentation(p, a, d, Gs)
     if start is None:
         return None
     gens, at = start
+    basis = _first_basis(gens, at, p, a, options.max_gsb_steps)
     # the specialization count carries over from one completion round
     # to the next: each nonzero image joins the generators and restarts
     spent = 0
     while True:
-        basis = complete(gens, p, a, options.max_gsb_steps)
         if is_commutative_presentation(basis):
             return None
         nf, spent = _specialization_scan(ids, basis, at, spent,
@@ -514,6 +535,7 @@ def _ap_presented(ids, p, a, d, Gs, options):
         if nf is None:
             break
         gens.append(nf.lift())
+        basis = complete(gens, p, a, options.max_gsb_steps)
     ordered = sorted(basis.elements, key=lambda g: deglex_key(g.lead_word))
     fam = Presented(p, a, tuple(format_ncpoly(g.as_ncpoly(), names="XY")
                                 for g in ordered))

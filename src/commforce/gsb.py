@@ -75,11 +75,6 @@ class GsPoly:
         return "GsPoly(%r mod %d^%d)" % (self.as_ncpoly(), self.p, self.a)
 
 
-def initial_term(f):
-    """(coefficient p^e, word) of the initial term."""
-    return (f.lead_pow, f.lead_word)
-
-
 def _encode(word):
     """Search key of a word: one character per letter, so a substring
     found at index i is an occurrence at word position i."""
@@ -342,6 +337,28 @@ def complete(generators, p, a, max_steps=10 ** 6):
                 for _, t in _compositions(b, g, p, a):
                     push(t)
     return GsBasis(basis, p, a, True, steps)
+
+
+def adjoin(basis, generators):
+    """A complete ``basis`` with the generators nonzero mod p^a appended
+    as elements, in order, without forming a composition.  The result is
+    complete only when each appended element is irreducible modulo the
+    others and every composition it takes part in reduces to zero; the
+    caller must show that.  An initial word longer than ``MAX_DEGREE``
+    ends it as it ends ``complete``, with the partial basis."""
+    p, a = basis.p, basis.a
+    m = p ** a
+    elements = list(basis.elements)
+    for f in generators:
+        if any(c % m for c in f.terms.values()):
+            g = GsPoly(f.terms, p, a)
+            if len(g.lead_word) > MAX_DEGREE:
+                err = ResourceLimitError("gsb-completion", MAX_DEGREE,
+                                         "max_degree")
+                err.partial = GsBasis(elements, p, a, False, basis.steps)
+                raise err
+            elements.append(g)
+    return GsBasis(elements, p, a, True, basis.steps)
 
 
 def is_commutative_presentation(basis):

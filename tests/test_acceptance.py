@@ -19,11 +19,12 @@ from commforce.finitering import (B, Fq, MinRing, TruncFree, Up, make_ring)
 from commforce.freealg import NcPoly, commutator, from_cpoly
 from commforce.gsb import complete, is_commutative_presentation
 from commforce.oracle import (RandomProfile, SearchBounds, cross_validate,
-                              random_identities, truncated_ideal_membership)
+                              random_identities)
 from commforce.theorems import (MinRingCertificate, central_decide,
                                 freshman_decide, herstein_pair,
                                 min_ring_certify, multilinear_decide,
                                 power_identity_decide, univariate_decide)
+from reference import truncated_ideal_membership
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)

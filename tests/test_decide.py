@@ -15,6 +15,7 @@ from commforce.decide import (DecideOptions, IdentitySet, PresentedWitness,
 from commforce.errors import ResourceLimitError
 from commforce.finitering import B, Mat, Presented, Up
 from commforce.freealg import NcPoly, commutator, format_ncpoly
+from commforce.gsb import complete
 from commforce.oracle import RandomProfile, cross_validate, random_identities
 
 X = NcPoly.var(1)
@@ -396,6 +397,79 @@ def test_presented_scan_never_substitutes(monkeypatch):
         sid = ids(P, nvars=1)
         p, w = decide_Ap(sid)
         assert presented_scan_check(sid, w.basis, w.scan_length)
+
+
+def presentation_key(p, a, b, at):
+    # the starting generators for characteristic p^a, content exponent
+    # b and scan length a t, from one image p^b t^t
+    gens, scan_length = decide._presentation(
+        p, a, p ** b, [commalg.univ({at // a: p ** b})])
+    assert scan_length == at
+    return gens
+
+
+FIRST_BASIS_KEYS = (
+    [(p, a, b, at) for p in (2, 3, 5, 7) for a in range(1, 5)
+     for b in range(a + 1) for at in range(a, 17, a)]
+    + [(2, 1, 0, 40), (2, 2, 1, 40), (3, 4, 2, 40), (3, 5, 5, 40),
+       (1000003, 1, 0, 5), (101, 2, 1, 6)])
+
+
+def test_first_basis_equals_the_completed_generators():
+    # the first round appends the word generators X^i Y^(a t - i) to the
+    # completed commutator generators once a t >= 3, and completes all of
+    # them below; either way the basis is complete(gens), element for
+    # element, with the same lead words in the same dump order
+    def elements(basis):
+        return sorted(tuple(sorted(g.terms.items())) for g in basis.elements)
+
+    short = 0
+    for p, a, b, at in FIRST_BASIS_KEYS:
+        gens = presentation_key(p, a, b, at)
+        first = decide._first_basis(gens, at, p, a, 10 ** 6)
+        full = complete(gens, p, a)
+        assert first.complete
+        assert elements(first) == elements(full), (p, a, b, at)
+        assert first.dump() == full.dump()
+        short += at <= 2
+    assert short == 28
+
+
+def test_first_basis_caps_only_the_commutator_completion():
+    # max_gsb_steps bounds the commutator completion of the first round;
+    # the word generators cost no step.  A cap below that completion's
+    # steps still ends at gsb-completion with a partial basis
+    p, a, b, at = 2, 2, 1, 8
+    gens = presentation_key(p, a, b, at)
+    steps = complete(gens[:5], p, a).steps
+    assert steps < complete(gens, p, a).steps
+    assert decide._first_basis(gens, at, p, a, steps).steps == steps
+    with pytest.raises(ResourceLimitError) as info:
+        decide._first_basis(gens, at, p, a, steps - 1)
+    assert (info.value.stage, info.value.detail) == ("gsb-completion",
+                                                     "max_steps")
+    assert not info.value.partial.complete
+    with pytest.raises(ResourceLimitError) as info:
+        decide_Ap(ids((X ** 3 - X).scale(4), nvars=1),
+                  DecideOptions(max_gsb_steps=5))
+    assert info.value.stage == "gsb-completion"
+    assert not info.value.partial.complete
+
+
+def test_overlong_word_generator_ends_the_first_round(monkeypatch):
+    # at = 41 > gsb.MAX_DEGREE: the first round stops at the word
+    # generators, before any normal word is listed
+    def refuse(basis, at):
+        raise AssertionError("normal words listed past MAX_DEGREE")
+
+    monkeypatch.setattr(decide, "_normal_words", refuse)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as info:
+        decide_Ap(ids(X ** 41 - X ** 42, nvars=1))
+    assert time.perf_counter() - start < 1.0
+    assert (info.value.stage, info.value.limit,
+            info.value.detail) == ("gsb-completion", 40, "max_degree")
+    assert not info.value.partial.complete
 
 
 def enumerated_scan(ids, basis, scan_length, spent, detail):

@@ -6,9 +6,8 @@ import pytest
 from commforce.errors import ResourceLimitError
 from commforce.freealg import NcPoly, commutator
 from commforce.gsb import (GsBasis, GsPoly, _compositions, complete,
-                           initial_term, is_commutative_presentation,
-                           reduce_terms)
-from commforce.oracle import truncated_ideal_membership
+                           is_commutative_presentation, reduce_terms)
+from reference import initial_term, truncated_ideal_membership
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
