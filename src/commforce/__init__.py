@@ -1,8 +1,7 @@
 """Decide whether polynomial identities force rings to be commutative."""
 
-from .commalg import (CPoly, cartier, cartier_reconstruct,
-                      field_ideal_normal_form, frobenius_scale, trial_factor,
-                      univ, univariate_membership, value_gcd)
+from .commalg import (CPoly, field_ideal_normal_form, frobenius_scale,
+                      trial_factor, univ, value_gcd)
 from .decide import (DecideOptions, IdentitySet, PresentedWitness,
                      PrimeConstraint, Verdict, candidate_primes, decide_Ap,
                      decide_B, decide_Up, decide_all, presented_scan_check,

@@ -7,15 +7,17 @@ Identity files use a small line-based grammar::
     id X*Y*X*Y + X^2*Y^2
     id [X,Y]*X = X*[X,Y]
 
-``id a = b`` records the identity a - b.  Commands print a short text
-summary by default or a stable JSON document with --json; exit status
-is 0 for a verdict, 1 when ``verify`` rejects the witness, 2 for parse
-or usage errors and any other malformed input (ring or witness JSON,
-checked by ``family_from_json``, presented witness fields, a cap or
-oracle bound that is not an int >= 1 or whose families exceed the size
-bound, an integer literal past Python's digit limit, ``--set``, a
-``--p`` that is not a prime or too large to test), 3 when a resource
-limit was hit.
+``id a = b`` records the identity a - b.  The parser works on term
+dicts {word: coefficient}, with NcPoly's expansion budget for products
+and powers (``term_product``, ``term_power``), and builds one NcPoly
+per identity.  Commands print a short text summary by default or a
+stable JSON document with --json; exit status is 0 for a verdict, 1
+when ``verify`` rejects the witness, 2 for parse or usage errors and
+any other malformed input (ring or witness JSON, checked by
+``family_from_json``, presented witness fields, a cap or oracle bound
+that is not an int >= 1 or whose families exceed the size bound, an
+integer literal past Python's digit limit, ``--set``, a ``--p`` that
+is not a prime or too large to test), 3 when a resource limit was hit.
 
 ``decide`` sends a set of homogeneous multilinear identities to the
 paper's criterion and every other set through the stages
@@ -42,7 +44,8 @@ from .errors import ResourceLimitError
 from .finitering import (MAX_DOC_SIZE, B, Mat, Presented, TruncFree,
                          family_from_json, family_json, family_size,
                          make_ring)
-from .freealg import NcPoly, format_ncpoly
+from .freealg import (NcPoly, _canon, format_ncpoly, term_power,
+                      term_product)
 from .gsb import complete
 from .oracle import SearchBounds, identity_digest, witness_search
 from .theorems import (MinRingCertificate, central_decide, freshman_decide,
@@ -106,21 +109,33 @@ def _tokenize(text, line_no):
     return toks
 
 
+def _accumulate(acc, terms, sign):
+    """acc += sign * terms, in place, on canonical term dicts."""
+    for w, c in terms.items():
+        c = acc.get(w, 0) + sign * c
+        if c:
+            acc[w] = c
+        else:
+            del acc[w]
+
+
 class _ExprParser:
-    def __init__(self, toks, varmap, line_no):
-        self.toks = toks
+    """Recursive descent over tokens closed by an "end" token at
+    ``end_col``; each method returns a fresh canonical term dict."""
+
+    def __init__(self, toks, varmap, line_no, end_col):
+        self.toks = toks + [("end", None, end_col)]
         self.varmap = varmap
         self.line = line_no
         self.pos = 0
 
     def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+        return self.toks[self.pos]
 
     def take(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError(self.line, len(self.toks) and self.toks[-1][2] or 1,
-                             "unexpected end of expression")
+        t = self.toks[self.pos]
+        if t[0] == "end":
+            raise ParseError(self.line, t[2], "unexpected end of expression")
         self.pos += 1
         return t
 
@@ -130,25 +145,22 @@ class _ExprParser:
             raise ParseError(self.line, t[2], "expected %r" % sym)
 
     def fail(self, msg):
-        t = self.peek()
-        col = t[2] if t else (self.toks[-1][2] if self.toks else 1)
-        raise ParseError(self.line, col, msg)
+        raise ParseError(self.line, self.peek()[2], msg)
 
     def expr(self):
         neg = False
         t = self.peek()
-        if t and t[0] == "sym" and t[1] in "+-":
+        if t[0] == "sym" and t[1] in "+-":
             self.take()
             neg = t[1] == "-"
         acc = self.term()
         if neg:
-            acc = -acc
+            acc = {w: -c for w, c in acc.items()}
         while True:
             t = self.peek()
-            if t and t[0] == "sym" and t[1] in "+-":
+            if t[0] == "sym" and t[1] in "+-":
                 self.take()
-                rhs = self.term()
-                acc = acc - rhs if t[1] == "-" else acc + rhs
+                _accumulate(acc, self.term(), -1 if t[1] == "-" else 1)
             else:
                 return acc
 
@@ -156,9 +168,9 @@ class _ExprParser:
         acc = self.factor()
         while True:
             t = self.peek()
-            if t and t[0] == "sym" and t[1] == "*":
+            if t[0] == "sym" and t[1] == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = _canon(term_product(acc, self.factor()), None)
             else:
                 return acc
 
@@ -166,25 +178,25 @@ class _ExprParser:
         acc = self.atom()
         while True:
             t = self.peek()
-            if t and t[0] == "sym" and t[1] == "^":
+            if t[0] == "sym" and t[1] == "^":
                 self.take()
                 e = self.take()
                 if e[0] != "int":
                     raise ParseError(self.line, e[2],
                                      "exponent must be a non-negative integer")
-                acc = acc ** e[1]
+                acc = term_power(acc, e[1])
             else:
                 return acc
 
     def atom(self):
         t = self.take()
         if t[0] == "int":
-            return NcPoly.const(t[1])
+            return {(): t[1]} if t[1] else {}
         if t[0] == "name":
             if t[1] not in self.varmap:
                 raise ParseError(self.line, t[2],
                                  "undeclared variable %r" % t[1])
-            return NcPoly.var(self.varmap[t[1]])
+            return {(self.varmap[t[1]],): 1}
         if t[0] == "sym" and t[1] == "(":
             inner = self.expr()
             self.expect(")")
@@ -194,17 +206,20 @@ class _ExprParser:
             self.expect(",")
             b = self.expr()
             self.expect("]")
-            return a * b - b * a
+            ab = _canon(term_product(a, b), None)
+            _accumulate(ab, _canon(term_product(b, a), None), -1)
+            return ab
         raise ParseError(self.line, t[2], "unexpected token %r" % (t[1],))
 
 
-def _parse_whole(toks, varmap, line_no,
+def _parse_whole(toks, varmap, line_no, empty_col,
                  trailing="trailing input after expression"):
-    """The expression spanning all of ``toks``; leftover tokens fail
-    with the message ``trailing``."""
-    p = _ExprParser(toks, varmap, line_no)
+    """Term dict of the expression spanning all of ``toks``; leftover
+    tokens fail with the message ``trailing``.  The input ends at the
+    last token, or at ``empty_col`` when there is none."""
+    p = _ExprParser(toks, varmap, line_no, toks[-1][2] if toks else empty_col)
     out = p.expr()
-    if p.peek() is not None:
+    if p.peek()[0] != "end":
         p.fail(trailing)
     return out
 
@@ -213,7 +228,7 @@ def parse_expression(text, varmap, line_no=1):
     toks = _tokenize(text, line_no)
     if not toks:
         raise ParseError(line_no, 1, "empty expression")
-    return _parse_whole(toks, varmap, line_no)
+    return NcPoly(_parse_whole(toks, varmap, line_no, 1))
 
 
 def parse_identity_file(text):
@@ -254,12 +269,14 @@ def parse_identity_file(text):
                     split = k
                     break
             if split is None:
-                poly = _parse_whole(body, varmap, ln)
+                terms = _parse_whole(body, varmap, ln, head[2])
             else:
-                poly = (_parse_whole(body[:split], varmap, ln,
+                eq = body[split][2]
+                terms = _parse_whole(body[:split], varmap, ln, eq,
                                      "trailing input before '='")
-                        - _parse_whole(body[split + 1:], varmap, ln))
-            polys.append(poly)
+                _accumulate(terms, _parse_whole(body[split + 1:], varmap,
+                                                ln, eq), -1)
+            polys.append(NcPoly(terms))
             continue
         raise ParseError(ln, head[2], "expected 'vars' or 'id'")
     if not varmap:

@@ -1,16 +1,13 @@
 """Commutative polynomial arithmetic over Z, F_p and Z/p^a.
 
 Provides the pieces of commutative machinery the decision procedures
-need: Cartier operators splitting a mod-p polynomial along p-th power
-blocks, normal forms modulo field ideals (p, X_i^q - X_i), division by
-one generator X_i^p - X_i, the gcd of a polynomial's values at integer
-points (which bounds the characteristic of any model), factoring under
-a step budget, and univariate membership in (p, X^p - X) and
-(p, (X^p - X)^2) built from those normal forms.
+need: Frobenius scaling of exponents, normal forms modulo field ideals
+(p, X_i^q - X_i), division by one generator X_i^p - X_i, the gcd of a
+polynomial's values at integer points (which bounds the characteristic
+of any model), and factoring under a step budget.
 """
 
 from functools import lru_cache
-from itertools import product
 from math import gcd, isqrt
 
 from .errors import ResourceLimitError
@@ -171,41 +168,11 @@ class CPoly:
         return "CPoly(%s)" % " ".join(parts)
 
 
-def cartier(P, j):
-    """Cartier operator Lambda_j: coefficient of X^(j + p*k) becomes the
-    coefficient of X^k.  P must be tagged mod a prime p and every entry
-    of j must lie in {0,...,p-1}."""
-    p = P.modulus
-    if p is None:
-        raise ValueError("cartier requires a mod-p polynomial")
-    j = tuple(j)
-    if len(j) != P.nvars:
-        raise ValueError("index arity mismatch")
-    if any(not (0 <= ji < p) for ji in j):
-        raise ValueError("index entries must lie in 0..p-1")
-    t = {}
-    for e, c in P.terms.items():
-        if all(ei % p == ji for ei, ji in zip(e, j)):
-            t[tuple(ei // p for ei in e)] = c
-    return CPoly(t, P.nvars, p)
-
-
 def frobenius_scale(P, times=1):
-    """Raise every exponent by the factor p^times (the inverse
-    direction of cartier on exponents)."""
+    """Raise every exponent by the factor p^times."""
     p = P.modulus
     q = p ** times
     return CPoly({tuple(ei * q for ei in e): c for e, c in P.terms.items()}, P.nvars, p)
-
-
-def cartier_reconstruct(P):
-    """Rebuild P as sum_j X^j * Lambda_j(P)^(p) -- exact for mod-p P."""
-    p = P.modulus
-    out = CPoly.zero(P.nvars, p)
-    for j in product(range(p), repeat=P.nvars):
-        mono = CPoly({tuple(j): 1}, P.nvars, p)
-        out = out + mono * frobenius_scale(cartier(P, j))
-    return out
 
 
 def field_ideal_normal_form(P, p, n):
@@ -284,18 +251,6 @@ def lattice_points(n, D):
 def univ(coeffs, modulus=None):
     """Univariate CPoly from {degree: coefficient}."""
     return CPoly({(d,): c for d, c in coeffs.items()}, 1, modulus)
-
-
-def univariate_membership(P, kind, p):
-    """Membership of a univariate integer polynomial in (p, X^p - X)
-    (kind='lin') or (p, (X^p - X)^2) (kind='sq'): the remainder by
-    X^p - X vanishes, and for 'sq' so does the quotient mod X^p - X."""
-    if P.nvars != 1:
-        raise ValueError("univariate polynomial required")
-    if kind == "lin":
-        return field_ideal_normal_form(P, p, 1).is_zero()
-    Q, R = field_ideal_divmod(P, 1, p)
-    return R.is_zero() and field_ideal_normal_form(Q, p, 1).is_zero()
 
 
 def trial_factor(N, step_budget=10 ** 7):

@@ -126,31 +126,48 @@ def candidate_primes(ids):
 # ---------------------------------------------------------------------------
 # upper triangular matrices
 
-_UPPER_MATS = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-
-
-def _upper_mul(m1, m2):
-    a1, b1, d1 = m1
-    a2, b2, d2 = m2
-    return (a1 * a2, a1 * b2 + b1 * d2, d1 * d2)
-
-
-def _upper_eval(P, tup):
-    acc = (0, 0, 0)
-    for w, c in P.terms.items():
-        v = (1, 0, 1)
-        for letter in w:
-            v = _upper_mul(v, tup[letter - 1])
-        acc = (acc[0] + c * v[0], acc[1] + c * v[1], acc[2] + c * v[2])
-    return acc
+def _upper_gcd(ids):
+    """The gcd g of ``decide_Up``, from the 4^s diagonal pairs."""
+    g = 0
+    masks = range(1 << ids.nvars)
+    for P in ids.polys:
+        diag, deriv = {}, {}   # mask -> coeff; (i, pre, post) -> coeff
+        for w, c in P.terms.items():
+            pres, m = [], 0
+            for x in w:
+                pres.append(m)
+                m |= 1 << (x - 1)
+            diag[m] = diag.get(m, 0) + c
+            post = 0
+            for x, pre in zip(reversed(w), reversed(pres)):
+                deriv[x, pre, post] = deriv.get((x, pre, post), 0) + c
+                post |= 1 << (x - 1)
+        for a in masks:
+            g = gcd(g, sum(c for m, c in diag.items() if not m & ~a))
+            row = [(x, post, c) for (x, pre, post), c in deriv.items()
+                   if not pre & ~a]
+            for d in masks:
+                D = [0] * (ids.nvars + 1)
+                for x, post, c in row:
+                    if not post & ~d:
+                        D[x] += c
+                g = gcd(g, *D)
+    return g
 
 
 def decide_Up(ids, options=None, plan=None):
     """Witness among upper triangular 2x2 matrix rings, or None.
 
-    The identities are evaluated at every tuple from the eight {0,1}
-    upper triangular integer matrices; the gcd of the nonzero entries
-    pins down the usable primes (only 2 when every entry vanishes).
+    The gcd g of the identities' entries at every tuple of the eight
+    {0,1} upper triangular integer matrices (a, b, d) pins down the
+    usable primes: those dividing g, or only 2 when g = 0.  Since
+    (a1,b1,d1)(a2,b2,d2) = (a1a2, a1b2 + b1d2, d1d2), P takes the value
+    (P'(a), sum_i b_i D_i(a, d), P'(d)), P' its abelianization and D_i
+    summing, over each letter x_i of each word, the product of a over
+    the letters before it and of d over those after.  As b runs over
+    {0,1}^s the middle entries are the subset sums of the D_i, so
+    ``_upper_gcd`` takes g from the 4^s pairs (a, d) alone.  The cap
+    still counts the 8^s tuples that g stands for.
     """
     options = options or DecideOptions()
     plan = plan or candidate_primes(ids)
@@ -159,11 +176,7 @@ def decide_Up(ids, options=None, plan=None):
     if 8 ** ids.nvars > options.eval_cap:
         raise ResourceLimitError("upper-matrix-scan", options.eval_cap,
                                  "8^%d integer tuples" % ids.nvars)
-    g = 0
-    for P in ids.polys:
-        for tup in product(_UPPER_MATS, repeat=ids.nvars):
-            for entry in _upper_eval(P, tup):
-                g = gcd(g, entry)
+    g = _upper_gcd(ids)
     for p in plan.candidates(0 if g else 2, g):
         ring = make_ring(Up(p))
         if verify(ring, ids, options):

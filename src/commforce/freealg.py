@@ -33,6 +33,41 @@ def _canon(terms, modulus):
     return out
 
 
+def term_product(t1, t2):
+    """Term dict of the product of two canonical term dicts, zero
+    coefficients kept; more than MAX_TERM_PAIRS term pairs raise."""
+    pairs = len(t1) * len(t2)
+    if pairs > MAX_TERM_PAIRS:
+        raise ResourceLimitError("expansion", MAX_TERM_PAIRS,
+                                 "%d term pairs in a product" % pairs)
+    t = {}
+    for w1, c1 in t1.items():
+        for w2, c2 in t2.items():
+            w = w1 + w2
+            t[w] = t.get(w, 0) + c1 * c2
+    return t
+
+
+def term_power(t, k, modulus=None):
+    """Canonical term dict of the k-th power of a canonical term dict:
+    k products, or {w^k: c^k} for one term c*w.  A power past
+    MAX_POWER_DEGREE raises before any product."""
+    if k < 0:
+        raise ValueError("negative exponent")
+    # a constant still costs k multiplications, so it counts as degree 1
+    d = k * max([1, *map(len, t)])
+    if d > MAX_POWER_DEGREE:
+        raise ResourceLimitError("expansion", MAX_POWER_DEGREE,
+                                 "power of degree %d" % d)
+    if len(t) == 1:
+        (w, c), = t.items()
+        return _canon({w * k: c ** k}, modulus)
+    out = _canon({(): 1}, modulus)
+    for _ in range(k):
+        out = _canon(term_product(out, t), modulus)
+    return out
+
+
 class NcPoly:
     """Noncommutative polynomial with integer or Z/m coefficients.
 
@@ -102,16 +137,7 @@ class NcPoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        pairs = len(self.terms) * len(other.terms)
-        if pairs > MAX_TERM_PAIRS:
-            raise ResourceLimitError("expansion", MAX_TERM_PAIRS,
-                                     "%d term pairs in a product" % pairs)
-        t = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                t[w] = t.get(w, 0) + c1 * c2
-        return NcPoly(t, self.modulus)
+        return NcPoly(term_product(self.terms, other.terms), self.modulus)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -119,17 +145,7 @@ class NcPoly:
         return NotImplemented
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent")
-        # a constant still costs k multiplications, so it counts as degree 1
-        d = k * max(self.degree(), 1)
-        if d > MAX_POWER_DEGREE:
-            raise ResourceLimitError("expansion", MAX_POWER_DEGREE,
-                                     "power of degree %d" % d)
-        out = NcPoly.const(1, self.modulus)
-        for _ in range(k):
-            out = out * self
-        return out
+        return NcPoly(term_power(self.terms, k, self.modulus), self.modulus)
 
     def scale(self, c):
         return NcPoly({w: c * v for w, v in self.terms.items()}, self.modulus)

@@ -11,8 +11,7 @@ import subprocess
 import sys
 import time
 
-from commforce.commalg import CPoly, cartier_reconstruct, \
-    field_ideal_normal_form
+from commforce.commalg import CPoly, field_ideal_normal_form
 from commforce.decide import (IdentitySet, candidate_primes, decide_Ap,
                               decide_B, decide_Up, decide_all)
 from commforce.finitering import (B, Fq, MinRing, TruncFree, Up, make_ring)
@@ -24,7 +23,7 @@ from commforce.theorems import (MinRingCertificate, central_decide,
                                 freshman_decide, herstein_pair,
                                 min_ring_certify, multilinear_decide,
                                 power_identity_decide, univariate_decide)
-from reference import truncated_ideal_membership
+from reference import cartier_reconstruct, truncated_ideal_membership
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)

@@ -8,10 +8,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference
 from commforce.cli import (ParseError, build_parser, main, parse_expression,
                            parse_identity_file, render_identities)
 from commforce.decide import IdentitySet, decide_all, verify
+from commforce.errors import ResourceLimitError
 from commforce.finitering import B, TruncFree, Up, family_json
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import cross_validate
@@ -62,6 +65,127 @@ def test_parse_errors_carry_position():
         parse_identity_file("vars X X\n")      # duplicate name
     with pytest.raises(ParseError):
         parse_identity_file("vars X\nid X^-2\n")
+
+
+@pytest.mark.parametrize("text,col", [
+    ("vars X\nid X =\n", 6),      # the '='
+    ("vars X\nid = X\n", 4),      # the '='
+    ("vars X\nid\n", 1),          # the 'id'
+    ("vars X\n  id  # none\n", 3),
+])
+def test_empty_side_of_equals_reports_its_column(text, col):
+    with pytest.raises(ParseError) as e:
+        parse_identity_file(text)
+    assert (e.value.line, e.value.col) == (2, col)
+    assert str(e.value).endswith("unexpected end of expression")
+
+
+def parse_outcome(parse, text):
+    """What a parser makes of ``text``: the identity set with each
+    identity's term order, or the fields of the error it raises."""
+    try:
+        ids, varmap = parse(text)
+    except ParseError as err:
+        return ("parse", err.line, err.col, str(err))
+    except ResourceLimitError as err:
+        return ("limit", err.stage, err.limit, err.detail)
+    return ("ok", ids, [list(P.terms) for P in ids.polys], varmap)
+
+
+NAMES = ("X", "Y", "Z")
+SYMBOLS = list("+-*^()[],=") + ["W", "0", "2", "17", "id", "$"]
+
+
+def expr_tokens(nvars):
+    """Token lists of well-formed expressions over ``nvars`` names."""
+    atom = st.one_of(st.integers(0, 12).map(str),
+                     st.sampled_from(NAMES[:nvars])).map(lambda a: [a])
+
+    def expr(factor):
+        term = st.lists(factor, min_size=1, max_size=3).map(
+            lambda fs: sum(([*f, "*"] for f in fs), [])[:-1])
+        return st.tuples(st.sampled_from([[], ["-"], ["+"]]),
+                         st.lists(st.tuples(st.sampled_from("+-"), term),
+                                  min_size=1, max_size=3)).map(
+            lambda t: t[0] + sum(([op, *tm] for op, tm in t[1]), [])[1:])
+
+    def extend(inner):
+        base = st.one_of(atom, inner.map(lambda e: ["(", *e, ")"]),
+                         st.tuples(inner, inner).map(
+                             lambda ab: ["[", *ab[0], ",", *ab[1], "]"]))
+        factor = st.tuples(base, st.sampled_from([None, 0, 1, 2, 3])).map(
+            lambda t: t[0] if t[1] is None else [*t[0], "^", str(t[1])])
+        return expr(factor)
+
+    return st.recursive(atom, extend, max_leaves=8)
+
+
+def spell(data, toks):
+    """Join tokens with drawn blanks, keeping names and numbers apart."""
+    out = toks[:1]
+    for a, b in zip(toks, toks[1:]):
+        apart = a[-1].isalnum() and b[0].isalnum()
+        out.append(data.draw(st.sampled_from(
+            [" ", "\t", "  "] if apart else ["", " ", "\t "])))
+        out.append(b)
+    return "".join(out)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_parser_matches_the_ncpoly_reference(data):
+    nvars = data.draw(st.integers(1, 3))
+    lines = ["vars " + " ".join(NAMES[:nvars])]
+    for _ in range(data.draw(st.integers(1, 3))):
+        toks = ["id", *data.draw(expr_tokens(nvars))]
+        if data.draw(st.booleans()):
+            toks += ["=", *data.draw(expr_tokens(nvars))]
+        line = spell(data, toks)
+        if data.draw(st.booleans()):
+            line += data.draw(st.sampled_from(["  # [X,Y", "# ^", " #"]))
+        lines.append(data.draw(st.sampled_from(["", " ", "\t"])) + line)
+        if data.draw(st.booleans()):
+            lines.append(data.draw(st.sampled_from(["", "# note", "  "])))
+    text = "\n".join(lines) + "\n"
+    got = parse_outcome(parse_identity_file, text)
+    assert got[0] in ("ok", "limit")
+    assert got == parse_outcome(reference.parse_identity_file, text)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_parser_errors_match_the_ncpoly_reference(data):
+    """Malformed lines: a well-formed one with a token deleted, inserted
+    or replaced, or tokens drawn at random."""
+    nvars = data.draw(st.integers(1, 3))
+    toks = ["id", *data.draw(expr_tokens(nvars))]
+    for _ in range(data.draw(st.integers(1, 2))):
+        k = data.draw(st.integers(0, len(toks)))
+        edit = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+        sym = data.draw(st.sampled_from(SYMBOLS))
+        if edit == "insert":
+            toks.insert(k, sym)
+        elif k < len(toks):
+            toks[k:k + 1] = [] if edit == "delete" else [sym]
+    if data.draw(st.booleans()):
+        toks = data.draw(st.lists(st.sampled_from(SYMBOLS), max_size=10))
+    text = "vars %s\n%s\n" % (" ".join(NAMES[:nvars]), spell(data, toks))
+    assert parse_outcome(parse_identity_file, text) == \
+        parse_outcome(reference.parse_identity_file, text)
+
+
+@pytest.mark.parametrize("body", [
+    "(X+Y)^1001", "X^1001", "2^1001", "(X*Y)^501",
+    "(X+Y)^8*(X+Y)^9",          # 256 * 512 term pairs
+    "((X+Y)^8 + X - X)*(X+Y)^9",   # still 256 * 512: X - X cancels
+    "(X+Y)^17",                 # 65536 * 2 inside the power
+    "[(X+Y)^8, (X+Y)^9]",
+])
+def test_parser_expansion_limits_match_the_ncpoly_reference(body):
+    text = "vars X Y\nid %s\n" % body
+    got = parse_outcome(parse_identity_file, text)
+    assert got[0] == "limit"
+    assert got == parse_outcome(reference.parse_identity_file, text)
 
 
 def test_render_round_trip():

@@ -17,6 +17,7 @@ from commforce.finitering import B, Mat, Presented, Up
 from commforce.freealg import NcPoly, commutator, format_ncpoly
 from commforce.gsb import complete
 from commforce.oracle import RandomProfile, cross_validate, random_identities
+from reference import upper_scan_gcd
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -150,6 +151,36 @@ def test_decide_up_sextic():
 
 def test_decide_up_rejects_commutator():
     assert decide_Up(ids(commutator(X, Y))) is None
+
+
+def random_ncpoly(rng, nvars):
+    """Up to five terms over words of length 0-5, with small, even or
+    about 10^30-sized coefficients; possibly the zero polynomial."""
+    terms = {}
+    for _ in range(rng.randrange(6)):
+        word = tuple(rng.randint(1, nvars) for _ in range(rng.randrange(6)))
+        terms[word] = rng.choice([rng.randint(-5, 5), 2 * rng.randint(-4, 4),
+                                  rng.randint(-10 ** 30, 10 ** 30),
+                                  10 ** 30 + rng.randint(-3, 3)])
+    return NcPoly(terms)
+
+
+def test_upper_gcd_matches_the_matrix_scan():
+    """The gcd from 4^s diagonal pairs equals the 8^s matrix-tuple scan."""
+    rng = random.Random(23)
+    fixed = [ids(NcPoly.zero(), nvars=1), ids(NcPoly.const(6), nvars=2),
+             ids(NcPoly.const(-4) + X * Y, NcPoly.const(10 ** 30), nvars=3),
+             ids(NcPoly.const(2) + X, NcPoly.const(-2) - X, nvars=1),
+             ids(SEXTIC), ids(QUARTIC), ids(commutator(X, Y) * 4)]
+    randoms = []
+    for s in (1, 2, 3):
+        for _ in range(120):
+            P, Q = random_ncpoly(rng, s), random_ncpoly(rng, s)
+            # a second identity whose sum with the first has a large gcd
+            randoms.append(IdentitySet(s, rng.choice(
+                [(P,), (P, Q), (P, Q.scale(rng.choice([2, 6])) - P)])))
+    for case in fixed + randoms:
+        assert decide._upper_gcd(case) == upper_scan_gcd(case), case
 
 
 def test_decide_all_sextic_witness():

@@ -167,3 +167,17 @@ def test_expansion_budget_is_a_limit():
             base ** (freealg.MAX_POWER_DEGREE + 1)
         assert (e.value.stage, e.value.limit) == ("expansion",
                                                   freealg.MAX_POWER_DEGREE)
+
+
+@given(ncpolys(max_len=3), st.integers(0, 4),
+       st.sampled_from([None, 2, 4, 6, 7]))
+@settings(max_examples=80, deadline=None)
+def test_power_is_repeated_product(P, k, m):
+    """``term_power`` (a single term in one step) equals k products."""
+    if m is not None:
+        P = P.mod(m)
+    out = NcPoly.const(1, m)
+    for _ in range(k):
+        out = out * P
+    assert P ** k == out
+    assert list((P ** k).terms) == list(out.terms)

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from commforce import decide, theorems
-from commforce.commalg import (prime_factorization, univ,
-                               univariate_membership, value_gcd)
+from commforce.commalg import prime_factorization, univ, value_gcd
 from commforce.decide import DecideOptions, IdentitySet, decide_all
 from commforce.errors import ResourceLimitError
 from commforce.finitering import MinRing, TruncFree, Up, make_ring
@@ -14,6 +13,7 @@ from commforce.theorems import (MinRingCertificate, NotIdentityReport,
                                 is_multilinear, min_ring_certify,
                                 multilinear_decide, power_identity_decide,
                                 theta_profile, univariate_decide)
+from reference import univariate_membership
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
