@@ -21,7 +21,7 @@ from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
                       reduce_Ap, reduce_caseI, deglex_key)
-from .gsb import adjoin, complete, is_commutative_presentation
+from .gsb import COMMUTATOR, adjoin, complete, is_commutative_presentation
 
 
 MAX_NORMAL_WORDS = 5000   # normal words a specialization scan may use
@@ -530,24 +530,36 @@ def _first_basis(gens, at, p, a, max_steps):
 def _ap_presented(ids, p, a, d, Gs, options):
     """Build the two-generator presentation for characteristic p^a and
     decide by completion whether a noncommutative model survives.  The
-    first round's basis is ``_first_basis``; each later round completes
-    the generators together with the images found so far."""
+    first round's basis is ``_first_basis``.  Each later round extends
+    the previous complete basis by its new image alone (``complete``'s
+    ``start``) and stops as soon as [X, Y] reduces to zero (``until``):
+    the presentation is then commutative.  Normal forms modulo a complete
+    basis are unique, so the scans see the same normal words, images and
+    counts as from-scratch completions would; only the witness basis
+    depends on the completion order, so a witness found after a later
+    round is completed once more from all its generators."""
     start = _presentation(p, a, d, Gs)
     if start is None:
         return None
     gens, at = start
     basis = _first_basis(gens, at, p, a, options.max_gsb_steps)
+    if is_commutative_presentation(basis):
+        return None
     # the specialization count carries over from one completion round
-    # to the next: each nonzero image joins the generators and restarts
+    # to the next
     spent = 0
+    first = len(gens)
     while True:
-        if is_commutative_presentation(basis):
-            return None
         nf, spent = _specialization_scan(ids, basis, at, spent,
                                          "p=%d a=%d" % (p, a))
         if nf is None:
             break
         gens.append(nf.lift())
+        basis = complete(gens[-1:], p, a, options.max_gsb_steps,
+                         start=basis, until=COMMUTATOR)
+        if not basis.complete:
+            return None
+    if len(gens) > first:
         basis = complete(gens, p, a, options.max_gsb_steps)
     ordered = sorted(basis.elements, key=lambda g: deglex_key(g.lead_word))
     fam = Presented(p, a, tuple(format_ncpoly(g.as_ncpoly(), names="XY")

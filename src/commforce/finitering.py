@@ -15,7 +15,8 @@ Identity checks run over all tuples in lexicographic order, in numpy
 batches that grow from 256 to 65536 tuples, so a failing identity stops
 after the batch that holds its first counterexample; ``holds`` lets
 each variable that occurs exactly once in every word range over the
-basis only.
+basis only.  Products are int64 while (char - 1)^2 < 2^63, and exact on
+Python ints (object arrays) past that bound.
 """
 
 from dataclasses import dataclass
@@ -292,6 +293,9 @@ class TabledRing:
         if self.table.shape != (self.dim, self.dim, self.dim):
             raise ValueError("bad table shape")
         self._check_axioms()
+        # products of two coordinates pass int64 past this bound, and are
+        # then taken on Python ints
+        self._dtype = object if (char - 1) ** 2 >= 1 << 63 else np.int64
         # the nonzero structure constants e_i e_j = ... + c e_k as
         # (i, j, k, c, start, fold): row k's first term starts out[k],
         # fold reduces out[k] before a term that could pass 2^63
@@ -346,9 +350,10 @@ class TabledRing:
         return tuple((x + y) % self.char for x, y in zip(a, b))
 
     def mul(self, a, b):
-        A, Bm = (np.array(x, dtype=np.int64)[:, None] % self.char
+        A, Bm = (np.array(x, dtype=self._dtype)[:, None] % self.char
                  for x in (a, b))
-        return tuple(int(x) for x in self._mul_batch(A, Bm)[:, 0])
+        out = self._mul_batch(A, Bm, np.empty_like(A))
+        return tuple(int(x) for x in out[:, 0])
 
     def scalar(self, c):
         return tuple(int(x) for x in (c * self.one) % self.char)
@@ -381,14 +386,15 @@ class TabledRing:
             raise ValueError("tuple arity %d < variables in P" % len(tup))
         if P.modulus is not None and self.char % P.modulus != 0 and P.modulus % self.char != 0:
             raise ValueError("modulus incompatible with ring characteristic")
-        rows = [np.array([t], dtype=np.int64) % self.char for t in tup]
+        rows = [np.array([t], dtype=self._dtype) % self.char for t in tup]
         return tuple(int(x) for x in self.eval_batch(P, rows)[0])
 
-    def _mul_batch(self, A, Bm):
-        """Products of reduced column-major (dim, N) arrays: c a_i b_j
-        added into coordinate k over the nonzero structure constants."""
+    def _mul_batch(self, A, Bm, out):
+        """Products of reduced column-major (dim, N) arrays, written into
+        ``out`` (the same shape, aliasing neither factor) and returned:
+        c a_i b_j added into coordinate k over the nonzero structure
+        constants."""
         char = self.char
-        out = np.empty_like(A)
         out[self._idle] = 0
         for i, j, k, c, start, fold in self._terms:
             row = out[k]
@@ -408,23 +414,34 @@ class TabledRing:
         reduced (N, dim) arrays, one per variable; returns an (N, dim)
         array."""
         N = columns[0].shape[0] if columns else 1
-        cols = [np.ascontiguousarray(col.T, dtype=np.int64) for col in columns]
-        acc = np.zeros((self.dim, N), dtype=np.int64)
+        dtype = self._dtype
+        cols = [np.ascontiguousarray(col.T, dtype=dtype) for col in columns]
+        acc = np.zeros((self.dim, N), dtype=dtype)
         # at a large char the sum of the terms could pass 2^63
         fold = len(P.terms) * (self.char - 1) ** 2 >= 1 << 63
         # words in lexicographic order share their prefixes with their
         # neighbours, so each distinct prefix product is computed once
         # while only the current word's chain is kept: chain[i] is the
-        # product of its first i letters, a letter being its column
-        chain = [np.broadcast_to(self.one[:, None], (self.dim, N))]
+        # product of its first i letters, a letter being its column.
+        # From i = 2 on, chain[i] is written into buffers[i], which the
+        # chain of a later word overwrites
+        chain = [np.broadcast_to(self.one.astype(dtype, copy=False)[:, None],
+                                 (self.dim, N))]
+        buffers = [None, None]
         prev = ()
         for w in sorted(P.terms):
             keep = next((i for i, (a, b) in enumerate(zip(w, prev)) if a != b),
                         min(len(w), len(prev)))
             del chain[keep + 1:]
             for z in w[keep:]:
-                chain.append(self._mul_batch(chain[-1], cols[z - 1])
-                             if len(chain) > 1 else cols[z - 1])
+                i = len(chain)
+                if i == 1:
+                    chain.append(cols[z - 1])
+                    continue
+                if i == len(buffers):
+                    buffers.append(np.empty((self.dim, N), dtype=dtype))
+                chain.append(self._mul_batch(chain[-1], cols[z - 1],
+                                             buffers[i]))
             c = P.terms[w] % self.char
             acc += chain[-1] if c == 1 else c * chain[-1]
             if fold:

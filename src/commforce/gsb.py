@@ -20,6 +20,12 @@ GsBasis is fixed once built, so it memoizes per word the elements
 whose initial word occurs in it; the completion, whose basis changes
 at every step, scans its basis in order instead.  A completion
 stops past ``max_steps`` steps (``DecideOptions.max_gsb_steps``).
+
+A completion may start from a complete basis and push only new
+generators, so that only compositions involving their descendants are
+formed (Buchberger's pair bookkeeping), and may stop early once a given
+polynomial reduces to zero modulo the partial basis: a completion round
+of a presentation ends as soon as it kills [X, Y].
 """
 
 import heapq
@@ -33,6 +39,9 @@ from .freealg import NcPoly, deglex_key
 # fixed caps of a completion; its step cap is ``complete``'s max_steps
 MAX_BASIS_SIZE = 20000
 MAX_DEGREE = 40
+
+# [X_1, X_2] as a term dict
+COMMUTATOR = {(1, 2): 1, (2, 1): -1}
 
 
 class GsPoly:
@@ -274,13 +283,23 @@ def _compositions(f, g, p, a):
         pos = f.lead_key.find(g.lead_key, pos + 1)
 
 
-def complete(generators, p, a, max_steps=10 ** 6):
+def complete(generators, p, a, max_steps=10 ** 6, start=None, until=None):
     """Close the generated two-sided ideal's basis under compositions.
 
     ``generators`` is a list of NcPoly (any modulus tag, coefficients
     taken mod p^a).  Returns a complete GsBasis or raises
     ResourceLimitError carrying the partial basis once more than
     ``max_steps`` compositions are processed.
+
+    ``start``, a complete GsBasis mod p^a, seeds the basis with its
+    elements: their compositions with each other already reduce to zero,
+    so only the generators are pushed, and ``max_steps`` and the
+    returned ``steps`` count only the steps they cause.  ``until``, a
+    nonzero term dict, ends the completion as soon as it reduces to zero
+    modulo the partial basis, which is returned with ``complete=False``.
+    Only an element whose initial word is no longer than ``until``'s
+    longest word can act on it, so the test runs when such an element
+    joins.
     """
     m = p ** a
     heap = []
@@ -297,8 +316,9 @@ def complete(generators, p, a, max_steps=10 ** 6):
     for g in generators:
         push(dict(g.terms))
 
-    basis = []
+    basis = list(start.elements) if start is not None else []
     steps = 0
+    reach = max(map(len, until)) if until else -1
 
     def fail(which, value):
         err = ResourceLimitError("gsb-completion", value, which)
@@ -326,6 +346,8 @@ def complete(generators, p, a, max_steps=10 ** 6):
         basis.append(g)
         if len(basis) > MAX_BASIS_SIZE:
             fail("max_basis_size", MAX_BASIS_SIZE)
+        if len(g.lead_word) <= reach and not reduce_terms(until, basis, p, a):
+            return GsBasis(basis, p, a, False, steps)
         if g.lead_exp >= 1:
             # coefficient composition: the multiple killing the lead
             scaled = {w: (c * p ** (a - g.lead_exp)) % m for w, c in g.terms.items()}
@@ -365,5 +387,4 @@ def is_commutative_presentation(basis):
     """True iff [X_1, X_2] lies in the presented ideal."""
     if not basis.complete:
         raise ValueError("basis must be complete")
-    comm = NcPoly({(1, 2): 1, (2, 1): -1})
-    return basis.normal_form(comm).is_zero()
+    return basis.normal_form(NcPoly(COMMUTATOR)).is_zero()

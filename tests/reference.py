@@ -324,3 +324,39 @@ def parse_identity_file(text):
     if not varmap:
         raise ParseError(1, 1, "missing vars declaration")
     return IdentitySet(len(varmap), tuple(polys)), varmap
+
+
+def eval_batch_per_prefix(ring, P, columns):
+    """``TabledRing.eval_batch`` as it was before it reused buffers: the
+    same lexicographic prefix chain, with a fresh (dim, N) array for
+    every prefix product."""
+    N = columns[0].shape[0] if columns else 1
+    dtype = ring._dtype
+    cols = [np.ascontiguousarray(col.T, dtype=dtype) for col in columns]
+    acc = np.zeros((ring.dim, N), dtype=dtype)
+    chain = [np.broadcast_to(ring.one.astype(dtype)[:, None], (ring.dim, N))]
+    prev = ()
+    for w in sorted(P.terms):
+        keep = next((i for i, (a, b) in enumerate(zip(w, prev)) if a != b),
+                    min(len(w), len(prev)))
+        del chain[keep + 1:]
+        for z in w[keep:]:
+            chain.append(ring._mul_batch(chain[-1], cols[z - 1],
+                                         np.empty((ring.dim, N), dtype=dtype))
+                         if len(chain) > 1 else cols[z - 1])
+        acc += (P.terms[w] % ring.char) * chain[-1]
+        acc %= ring.char
+        prev = w
+    return acc.T
+
+
+def exact_product(ring, a, b):
+    """The product of two ring elements from the structure constants,
+    on Python ints."""
+    table = ring.table.tolist()
+    out = [0] * ring.dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k, c in enumerate(table[i][j]):
+                out[k] += c * ai * bj
+    return tuple(x % ring.char for x in out)

@@ -13,9 +13,9 @@ from commforce.decide import (DecideOptions, IdentitySet, PresentedWitness,
                               candidate_primes, decide_Ap, decide_B, decide_Up,
                               decide_all, presented_scan_check, verify)
 from commforce.errors import ResourceLimitError
-from commforce.finitering import B, Mat, Presented, Up
+from commforce.finitering import B, Mat, Presented, Up, family_json
 from commforce.freealg import NcPoly, commutator, format_ncpoly
-from commforce.gsb import complete
+from commforce.gsb import COMMUTATOR, complete, is_commutative_presentation
 from commforce.oracle import RandomProfile, cross_validate, random_identities
 from reference import upper_scan_gcd
 
@@ -417,6 +417,45 @@ def test_presented_witness_pinned(P, steps, scan_length, dump):
     assert w.basis.dump() == dump
 
 
+# the presented cases the benchmark once left out as slow: the witness
+# family document, steps, scan length and re-check of each, as recorded
+# before later rounds were completed incrementally
+SLOW_PRESENTED = {
+    "(X^3+X)^2": ((X ** 3 + X) ** 2, 18, 4, 2, 2,
+                  ["X^2", "X*Y + Y*X", "Y^2"]),
+    "4(X^3-X)": ((X ** 3 - X).scale(4), 41, 3, 2, 3,
+                 ["4*X", "4*Y", "2*X*Y + 2*Y*X", "3*X^2*Y + X*Y*X",
+                  "3*X^2*Y + Y*X^2", "3*X*Y^2 + Y*X*Y",
+                  "2*X*Y^2 + Y*X*Y + Y^2*X"]),
+    "(X^2+X)^3": ((X ** 2 + X) ** 3, 208, 9, 2, 3,
+                  ["4*X + 2*X^2", "4*X*Y", "6*X*Y + 2*Y*X", "4*Y + 2*Y^2",
+                   "X^3", "X^2*Y + X*Y*X", "X^2*Y + X*Y^2", "X^2*Y + Y*X^2",
+                   "X*Y^2 + Y*X*Y", "Y*X*Y + Y^2*X", "Y^3"]),
+    "9(X^3-X)": ((X ** 3 - X).scale(9), 41, 3, 3, 3,
+                 ["9*X", "9*Y", "15*X*Y + 3*Y*X", "17*X^2*Y + X*Y*X",
+                  "17*X^2*Y + Y*X^2", "17*X*Y^2 + Y*X*Y",
+                  "3*X*Y^2 + 14*Y*X*Y + Y^2*X"]),
+    "8(X^2-X)": ((X ** 2 - X).scale(8), 55, 4, 2, 4,
+                 ["8*X", "8*Y", "14*X*Y + 2*Y*X", "8*X*Y + 7*X^2*Y + X*Y*X",
+                  "8*X*Y + 7*X^2*Y + Y*X^2", "8*X*Y + 7*X*Y^2 + Y*X*Y",
+                  "8*X*Y + 6*X*Y^2 + Y*X*Y + Y^2*X"]),
+}
+
+
+@pytest.mark.parametrize("name", list(SLOW_PRESENTED))
+def test_slow_presented_cases_pinned(name):
+    P, steps, scan_length, p, a, generators = SLOW_PRESENTED[name]
+    sid = ids(P, nvars=1)
+    start = time.perf_counter()
+    got_p, w = decide_Ap(sid)
+    assert presented_scan_check(sid, w.basis, w.scan_length)
+    assert time.perf_counter() - start < 2.0
+    assert got_p == p
+    assert family_json(w.family) == {"family": "Presented", "p": p, "a": a,
+                                     "generators": generators}
+    assert (w.basis.steps, w.scan_length) == (steps, scan_length)
+
+
 def test_presented_scan_never_substitutes(monkeypatch):
     # the scan evaluates in the quotient, reducing after every product;
     # no full image is expanded while building or re-checking a witness
@@ -485,6 +524,58 @@ def test_first_basis_caps_only_the_commutator_completion():
                   DecideOptions(max_gsb_steps=5))
     assert info.value.stage == "gsb-completion"
     assert not info.value.partial.complete
+
+
+def test_later_rounds_extend_the_previous_basis():
+    # each later round completes its new image alone, from the previous
+    # round's complete basis; the scan must see the same normal words and
+    # the same images as on complete(gens).  An image comes from the scan
+    # of a seeded identity, or else is the normal form of a seeded
+    # polynomial.  With [X, Y] as ``until`` a round stops exactly when
+    # complete(gens) is commutative, and otherwise runs as without it
+    rng = random.Random(24)
+    rounds = collapsed = scanned = 0
+    for p in (2, 3, 5):
+        for a in (1, 2, 3):
+            for b, at in [(b, t * a) for b in range(a + 1) for t in (1, 2, 3)
+                          if t * a <= 4]:
+                gens = presentation_key(p, a, b, at)
+                grown = decide._first_basis(gens, at, p, a, 10 ** 6)
+                full = complete(gens, p, a)
+                m = p ** a
+                for _ in range(10):
+                    P = NcPoly({(1,) * k: rng.randrange(-3, 4)
+                                for k in range(1, 4)})
+                    sid = ids(P.scale(p ** rng.randrange(a)), nvars=1)
+                    scans = [decide._specialization_scan(sid, basis, at, 0, "")
+                             for basis in (grown, full)]
+                    assert scans[0] == scans[1]
+                    nf = scans[0][0]
+                    scanned += nf is not None
+                    if nf is None:
+                        f = NcPoly({tuple(rng.randint(1, 2)
+                                          for _ in range(rng.randint(2, 4))):
+                                    p * rng.randrange(1, m)
+                                    for _ in range(rng.randint(1, 3))}, m)
+                        nf = full.normal_form(f)
+                        assert grown.normal_form(f) == nf
+                        if nf.is_zero():
+                            continue
+                    gens.append(nf.lift())
+                    cut = complete(gens[-1:], p, a, start=grown,
+                                   until=COMMUTATOR)
+                    grown = complete(gens[-1:], p, a, start=grown)
+                    full = complete(gens, p, a)
+                    rounds += 1
+                    assert grown.complete
+                    assert cut.complete != is_commutative_presentation(full)
+                    if not cut.complete:
+                        collapsed += 1
+                        break
+                    assert cut.dump() == grown.dump()
+                    assert decide._normal_words(grown, at) == \
+                        decide._normal_words(full, at)
+    assert rounds - collapsed >= 25 and collapsed >= 25 and scanned >= 50
 
 
 def test_overlong_word_generator_ends_the_first_round(monkeypatch):

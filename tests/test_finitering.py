@@ -14,6 +14,7 @@ from commforce.finitering import (B, Fq, Mat, MinRing, Presented, TruncFree,
                                   TabledRing, least_irreducible, make_ring)
 from commforce.freealg import NcPoly, commutator
 from commforce.oracle import SearchBounds, _families
+from reference import eval_batch_per_prefix, exact_product
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -498,9 +499,9 @@ def test_eval_batch_computes_each_prefix_once(monkeypatch, P):
     calls = []
     mul = TabledRing._mul_batch
 
-    def counting(self, A, Bm):
+    def counting(self, A, Bm, out):
         calls.append(1)
-        return mul(self, A, Bm)
+        return mul(self, A, Bm, out)
 
     rng = np.random.default_rng(4)
     rows = [rng.integers(0, 3, (40, ring.dim)) for _ in range(3)]
@@ -518,3 +519,67 @@ def test_eval_batch_computes_each_prefix_once(monkeypatch, P):
                 v = ring.mul(v, tup[z - 1])
             ref = ring.add(ref, v)
         assert tuple(int(x) for x in got[n]) == ref
+
+
+@pytest.mark.parametrize("p", [3037000537, 2 ** 61 - 1])
+@pytest.mark.parametrize("family", [Up, MinRing, lambda p: TruncFree(p, 3)],
+                         ids=["Up", "MinRing", "TruncFree3"])
+def test_products_exact_past_the_int64_bound(p, family):
+    # (p - 1)^2 >= 2^63: products and identity values are taken on Python
+    # ints and agree with exact arithmetic on seeded elements
+    ring = make_ring(family(p))
+    assert ring.mul((p - 1,) * ring.dim, (p - 2,) * ring.dim) == \
+        exact_product(ring, (p - 1,) * ring.dim, (p - 2,) * ring.dim)
+    rng = random.Random(p % 1000)
+    P = X * Y * X - (Y * Y).scale(p - 3) + X.scale(5) + NcPoly.const(p - 1)
+    elems = [tuple(rng.choice([rng.randrange(p), p - 1 - rng.randrange(9)])
+                   for _ in range(ring.dim)) for _ in range(12)]
+    for a, b in zip(elems, elems[1:]):
+        assert ring.mul(a, b) == exact_product(ring, a, b)
+        xyx = exact_product(ring, exact_product(ring, a, b), a)
+        yy = exact_product(ring, b, b)
+        ref = tuple((u - (p - 3) * v + 5 * x + (p - 1) * e) % p for u, v, x, e
+                    in zip(xyx, yy, a, ring.one.tolist()))
+        assert ring.eval(P, (a, b)) == ref
+    batch = ring.eval_batch(P, [np.array(elems[:-1], dtype=object),
+                                np.array(elems[1:], dtype=object)])
+    assert [tuple(int(x) for x in row) for row in batch] == \
+        [ring.eval(P, (a, b)) for a, b in zip(elems, elems[1:])]
+
+
+def test_int64_products_up_to_the_bound():
+    # 3037000499 is the largest char whose (char - 1)^2 stays below 2^63
+    p = 3037000499
+    ring = make_ring(MinRing(p))
+    assert ring._dtype is np.int64
+    a, b = (p - 1,) * 4, (p - 2,) * 4
+    assert ring.mul(a, b) == exact_product(ring, a, b)
+    assert make_ring(MinRing(3037000537))._dtype is object
+
+
+@pytest.mark.parametrize("fam", [TruncFree(3, 3), TruncFree(5, 3), Up(7),
+                                 MinRing(5), B(2, 3, 1)], ids=repr)
+def test_eval_batch_reuses_buffers_as_per_prefix(fam):
+    # one buffer per chain depth, reused across words with shared
+    # prefixes and words of different lengths, gives the values of a
+    # fresh array per prefix
+    ring = make_ring(fam)
+    rng = random.Random(repr(fam))
+    nrng = np.random.default_rng(11)
+    for _ in range(6):
+        terms = {}
+        for _ in range(rng.randint(3, 12)):
+            w = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 6)))
+            terms[w] = rng.randint(-4, 4)
+            # a word sharing a prefix with w
+            cut = rng.randint(0, len(w))
+            terms[w[:cut] + tuple(rng.randint(1, 3) for _ in range(
+                rng.randint(0, 3)))] = rng.randint(1, 4)
+        P = NcPoly(terms)
+        cols = [nrng.integers(0, ring.char, (300, ring.dim)) for _ in range(3)]
+        cols[1][:ring.dim] = np.eye(ring.dim, dtype=np.int64)
+        before = [c.copy() for c in cols]
+        got = ring.eval_batch(P, cols)
+        assert np.array_equal(got, eval_batch_per_prefix(ring, P, cols))
+        assert all(np.array_equal(c, b) for c, b in zip(cols, before))
+    assert np.array_equal(ring.one, make_ring(fam).one)

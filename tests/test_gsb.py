@@ -5,8 +5,9 @@ import pytest
 
 from commforce.errors import ResourceLimitError
 from commforce.freealg import NcPoly, commutator
-from commforce.gsb import (GsBasis, GsPoly, _compositions, complete,
-                           is_commutative_presentation, reduce_terms)
+from commforce.gsb import (COMMUTATOR, GsBasis, GsPoly, _compositions,
+                           complete, is_commutative_presentation,
+                           reduce_terms)
 from reference import initial_term, truncated_ideal_membership
 
 X = NcPoly.var(1)
@@ -68,6 +69,43 @@ def test_completion_limit_carries_partial():
         complete([Y * X, X * Y, commutator(X, Y)], 2, 1, max_steps=1)
     assert info.value.partial is not None
     assert not info.value.partial.complete
+
+
+@pytest.mark.parametrize("p,a", [(2, 1), (2, 2), (3, 2), (5, 1)])
+def test_completion_from_a_complete_start(p, a):
+    # extending a complete basis by new generators alone gives a complete
+    # basis of the same ideal as completing everything from scratch, in
+    # fewer steps than the scratch completion takes
+    rng = random.Random(100 * p + a)
+    m = p ** a
+    trunc = [NcPoly.from_word(w) for w in itertools.product((1, 2), repeat=4)]
+    for _ in range(8):
+        old = [NcPoly(random_terms(rng, (1, 2), 3, m), m) for _ in range(2)]
+        new = [NcPoly(random_terms(rng, (1, 2), 3, m), m)]
+        start = complete(old + trunc, p, a)
+        grown = complete(new, p, a, start=start)
+        full = complete(old + trunc + new, p, a)
+        assert grown.complete
+        assert grown.steps < full.steps
+        for _ in range(20):
+            f = NcPoly(random_terms(rng, (1, 2), 5, m), m)
+            assert grown.normal_form(f) == full.normal_form(f)
+
+
+def test_completion_stops_once_until_reduces_to_zero():
+    # X^2 - Y and X^3 make XY, YX and then [X, Y] reduce to zero; the
+    # completion returns the partial basis at once, flagged incomplete
+    gens = [X * X - Y, X ** 3]
+    full = complete(gens, 2, 2)
+    assert is_commutative_presentation(full)
+    cut = complete(gens, 2, 2, until=COMMUTATOR)
+    assert not cut.complete
+    assert 0 < cut.steps < full.steps
+    assert not reduce_terms(COMMUTATOR, cut.elements, 2, 2)
+    # a completion whose ideal misses [X, Y] runs to the end as before
+    kept = complete([Y * X], 2, 1, until=COMMUTATOR)
+    assert kept.complete
+    assert kept.dump() == complete([Y * X], 2, 1).dump()
 
 
 def test_normal_form_requires_no_completion_flag_for_membership():

@@ -42,3 +42,25 @@ def test_tracer_install_and_restore():
     assert patched
     for owner, attr, original in patched:
         assert _current(owner, attr) is original
+
+
+def test_tracer_reads_a_collapsed_completion():
+    # the quartic's presentation at p = 3 takes two completion rounds
+    # and then a later round that stops once [X, Y] reduces to zero; the
+    # tracer reads steps and elements from every returned basis,
+    # including that incomplete one
+    X, Y = NcPoly.var(1), NcPoly.var(2)
+    ids = IdentitySet(2, (X ** 2 * Y ** 2 + X ** 4 * Y ** 2 + X * Y * X * Y,))
+    lib = SimpleNamespace(**{m: importlib.import_module("commforce." + m)
+                             for m in harness.MODULES})
+    lib.render = lambda v: json.dumps(lib.cli.verdict_doc("decide", v))
+    plain = lib.render(lib.decide.decide_all(ids))
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(lib)
+        traced = lib.render(tracer.case("quartic", lib.decide.decide_all, ids))
+    finally:
+        tracer.restore()
+    assert traced == plain
+    assert tracer.counts["gsb.complete.calls"] >= 3
+    assert tracer.counts["gsb.complete.steps"] > 0
