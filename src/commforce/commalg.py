@@ -1,10 +1,10 @@
 """Commutative polynomial arithmetic over Z, F_p and Z/p^a.
 
 Provides the pieces of commutative machinery the decision procedures
-need: Frobenius scaling of exponents, normal forms modulo field ideals
-(p, X_i^q - X_i), division by one generator X_i^p - X_i, the gcd of a
-polynomial's values at integer points (which bounds the characteristic
-of any model), and factoring under a step budget.
+need: normal forms modulo field ideals (p, X_i^q - X_i), division by
+one generator X_i^p - X_i, the gcd of a polynomial's values at integer
+points (which bounds the characteristic of any model), and factoring
+under a step budget.
 """
 
 from functools import lru_cache
@@ -166,13 +166,6 @@ class CPoly:
                             for i, k in enumerate(e) if k)
             parts.append("%+d%s" % (c, "*" + body if body else ""))
         return "CPoly(%s)" % " ".join(parts)
-
-
-def frobenius_scale(P, times=1):
-    """Raise every exponent by the factor p^times."""
-    p = P.modulus
-    q = p ** times
-    return CPoly({tuple(ei * q for ei in e): c for e, c in P.terms.items()}, P.nvars, p)
 
 
 def field_ideal_normal_form(P, p, n):

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, isqrt, prod
 
-from .commalg import (CPoly, _primes_upto, _vp, field_ideal_normal_form,
-                      frobenius_scale, lattice_points, prime_factorization,
-                      univ, value_gcd)
+from .commalg import (_primes_upto, _vp, field_ideal_normal_form,
+                      lattice_points, prime_factorization, univ, value_gcd)
 from .errors import ResourceLimitError
 from .finitering import B, Mat, Presented, TruncFree, Up, make_ring
 from .freealg import (NcPoly, abelianize, bar_transversal, format_ncpoly,
@@ -187,45 +186,32 @@ def decide_Up(ids, options=None, plan=None):
 # ---------------------------------------------------------------------------
 # the twisted-sum membership test
 
-def _instance_conditions(summands, s):
-    """Coefficient condition polynomials, one per exponent index.
-
-    For the sum S = sum (X_a^(p^k) - X_a) A^(p^k) B with p^k beyond
-    every degree in sight, S vanishes identically mod p exactly when
-    each condition polynomial does; the indices track the coefficient
-    expansion of the unpowered factors.
-    """
-    conds = {}
-    zero = CPoly.zero(s)
-    for alpha, A, Bm in summands:
-        Xa = CPoly.var(alpha, s)
-        XA = Xa * A
-        for e, c in Bm.terms.items():
-            conds[e] = conds.get(e, zero) + XA.scale(c)
-        XB = Xa * Bm
-        for e, c in XB.terms.items():
-            conds[e] = conds.get(e, zero) - A.scale(c)
-    return conds
+def _add_twist(terms, alpha, A, C, sign):
+    """Add sign * ((X_alpha A)^(q) C - X_alpha A^(q) C) to ``terms``,
+    which maps (high, low) to the coefficient of X^(q*high + low)."""
+    i = alpha - 1
+    for a, ca in A.terms.items():
+        up = a[:i] + (a[i] + 1,) + a[i + 1:]
+        for c, cc in C.terms.items():
+            down = c[:i] + (c[i] + 1,) + c[i + 1:]
+            v = sign * ca * cc
+            terms[up, c] = terms.get((up, c), 0) + v
+            terms[a, down] = terms.get((a, down), 0) - v
 
 
-def _instance_gcd(summands, s):
-    return gcd(*(T.content()
-                 for T in _instance_conditions(summands, s).values()))
-
-
-def _instance_value(summands, s, p, k):
-    total = CPoly.zero(s, p)
-    for alpha, A, Bm in summands:
-        Xa = CPoly.var(alpha, s, p)
-        Ap = A.mod(p)
-        powered = frobenius_scale(Xa * Ap, k) - Xa * frobenius_scale(Ap, k)
-        total = total + powered * Bm.mod(p)
-    return total
-
-
-def _instance_member(summands, s, p, n, k):
-    val = _instance_value(summands, s, p, k)
-    return field_ideal_normal_form(val, p, n).is_zero()
+def _instance_member(terms, p, n, k):
+    """Does the twist sum ``terms`` with q = p^k vanish on F_{p^n}?
+    Each exponent q*high + low folds into {1,...,p^n-1} as in
+    ``field_ideal_normal_form``; reduction modulo the field ideal is a
+    ring map, so the sum vanishes on F_{p^n} iff the folded sum is zero
+    mod p."""
+    q, m = p ** k, p ** n - 1
+    folded = {}
+    for (high, low), c in terms.items():
+        e = tuple((q * h + l - 1) % m + 1 if h or l else 0
+                  for h, l in zip(high, low))
+        folded[e] = folded.get(e, 0) + c
+    return not any(c % p for c in folded.values())
 
 
 def _scan_bound(p, kappa):
@@ -247,9 +233,10 @@ def _scan_bound(p, kappa):
 # twisted rings B(p, n, l)
 
 def _case_one_instances(ids):
-    """Per identity and per target variable, the two summand lists
-    whose vanishing on F_{p^n} characterizes the identity on B(p,n,l):
-    one for twists with l <= n/2, one for the mirrored range."""
+    """Per identity and per target variable, the two twist sums (as
+    ``_add_twist`` dicts) whose vanishing on F_{p^n} characterizes the
+    identity on B(p,n,l): one for twists with l <= n/2, one for the
+    mirrored range."""
     s = ids.nvars
     low, high = [], []
     kappa = 0
@@ -261,35 +248,35 @@ def _case_one_instances(ids):
             Cb = abelianize(C, s)
             kappa = max(kappa, Ab.degree(), Cb.degree())
             # coefficient of the j-slot: +(U_i^q - U_i) A^q C
-            per_low.setdefault(j, []).append((i, Ab, Cb))
+            _add_twist(per_low.setdefault(j, {}), i, Ab, Cb, 1)
             # coefficient of the i-slot picks up the opposite sign
-            per_low.setdefault(i, []).append((j, Ab, -Cb))
+            _add_twist(per_low.setdefault(i, {}), j, Ab, Cb, -1)
             # mirrored twist: the C side carries the power, signs flip
-            per_high.setdefault(j, []).append((i, Cb, -Ab))
-            per_high.setdefault(i, []).append((j, Cb, Ab))
-        low.extend(v for _, v in sorted(per_low.items()))
-        high.extend(v for _, v in sorted(per_high.items()))
+            _add_twist(per_high.setdefault(j, {}), i, Cb, Ab, -1)
+            _add_twist(per_high.setdefault(i, {}), j, Cb, Ab, 1)
+        for per, out in ((per_low, low), (per_high, high)):
+            out.extend({key: c for key, c in terms.items() if c}
+                       for _, terms in sorted(per.items()))
     return low, high, kappa
 
 
 def _case_one(ids, prime, options, plan):
     """Twisted-ring witness when only the twist data matters: at the
     given prime, or else at every admitted candidate."""
-    s = ids.nvars
     low, high, kappa = _case_one_instances(ids)
     if prime is not None:
         cands = [prime]
     else:
         cands = plan.candidates(kappa + 2, *(
-            gcd(*(_instance_gcd(lst, s) for lst in group))
+            gcd(*(c for terms in group for c in terms.values()))
             for group in (low, high)))
     for p in cands:
         for n in range(2, _scan_bound(p, kappa) + 1):
             for l in range(1, n):
                 if l <= n - l:
-                    ok = all(_instance_member(lst, s, p, n, l) for lst in low)
+                    ok = all(_instance_member(t, p, n, l) for t in low)
                 else:
-                    ok = all(_instance_member(lst, s, p, n, n - l) for lst in high)
+                    ok = all(_instance_member(t, p, n, n - l) for t in high)
                 if not ok:
                     continue
                 ring = make_ring(B(p, n, l))

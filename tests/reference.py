@@ -9,7 +9,7 @@ import numpy as np
 
 from commforce.cli import ParseError, _tokenize
 from commforce.commalg import (CPoly, field_ideal_divmod,
-                               field_ideal_normal_form, frobenius_scale)
+                               field_ideal_normal_form)
 from commforce.decide import IdentitySet
 from commforce.freealg import NcPoly
 
@@ -90,6 +90,60 @@ def truncated_ideal_membership(f, generators, p, k):
         if lead is not None and t[lead]:
             t = (t - t[lead] * M[i]) % p
     return not t.any()
+
+
+# ---------------------------------------------------------------------------
+# Frobenius scaling and the twisted-sum membership test on CPolys
+
+def frobenius_scale(P, times=1):
+    """Raise every exponent by the factor p^times."""
+    p = P.modulus
+    q = p ** times
+    return CPoly({tuple(ei * q for ei in e): c for e, c in P.terms.items()}, P.nvars, p)
+
+
+def instance_conditions(summands, s):
+    """Coefficient condition polynomials, one per exponent index.
+
+    For the sum S = sum (X_a^(p^k) - X_a) A^(p^k) B with p^k beyond
+    every degree in sight, S vanishes identically mod p exactly when
+    each condition polynomial does; the indices track the coefficient
+    expansion of the unpowered factors.
+    """
+    conds = {}
+    zero = CPoly.zero(s)
+    for alpha, A, Bm in summands:
+        Xa = CPoly.var(alpha, s)
+        XA = Xa * A
+        for e, c in Bm.terms.items():
+            conds[e] = conds.get(e, zero) + XA.scale(c)
+        XB = Xa * Bm
+        for e, c in XB.terms.items():
+            conds[e] = conds.get(e, zero) - A.scale(c)
+    return conds
+
+
+def instance_gcd(summands, s):
+    return gcd(*(T.content()
+                 for T in instance_conditions(summands, s).values()))
+
+
+def instance_value(summands, s, p, k):
+    """sum (X_a A)^(p^k) B - X_a A^(p^k) B over F_p, for summands
+    (a, A, B)."""
+    total = CPoly.zero(s, p)
+    for alpha, A, Bm in summands:
+        Xa = CPoly.var(alpha, s, p)
+        Ap = A.mod(p)
+        powered = frobenius_scale(Xa * Ap, k) - Xa * frobenius_scale(Ap, k)
+        total = total + powered * Bm.mod(p)
+    return total
+
+
+def instance_member(summands, s, p, n, k):
+    """Does ``instance_value`` vanish on F_{p^n}?"""
+    val = instance_value(summands, s, p, k)
+    return field_ideal_normal_form(val, p, n).is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,14 @@ The reference condenses each commutator pair's sandwich matrix into
 independent A and C families by unimodular integer row reduction, the
 way ``reduce_caseI`` once did.  Every consumer of the form is bilinear
 in (A, C), so the library's one-record-per-word form must give the same
-flattened form, the same kappa and the same lemma-3.3 instance values.
+flattened form, the same kappa and the same twist sums.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commforce import decide
-from commforce.decide import (IdentitySet, _case_one_instances, _instance_gcd,
-                              _instance_value)
+from commforce.decide import IdentitySet, _case_one_instances
 from commforce.freealg import (CaseIForm, NcPoly, _straighten_collect,
                                bar_transversal, deglex_key, reduce_Ap,
                                reduce_caseI)
@@ -142,11 +141,4 @@ def test_caseI_matches_rank_factorized_reference(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decide, "reduce_caseI", reference_caseI)
         rlow, rhigh, rkappa = _case_one_instances(ids)
-    assert kappa == rkappa
-    assert (len(low), len(high)) == (len(rlow), len(rhigh))
-    for got, want in zip(low + high, rlow + rhigh):
-        assert _instance_gcd(got, s) == _instance_gcd(want, s)
-        for p in (2, 3, 5):
-            for k in (1, 2):
-                assert _instance_value(got, s, p, k) == \
-                    _instance_value(want, s, p, k)
+    assert (low, high, kappa) == (rlow, rhigh, rkappa)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commforce.commalg import (CPoly, field_ideal_divmod,
-                               field_ideal_normal_form, frobenius_scale,
-                               prime_factorization, lattice_points,
-                               trial_factor, univ, value_gcd)
+                               field_ideal_normal_form, prime_factorization,
+                               lattice_points, trial_factor, univ, value_gcd)
 from commforce.errors import ResourceLimitError
-from reference import cartier, cartier_reconstruct, univariate_membership
+from reference import (cartier, cartier_reconstruct, frobenius_scale,
+                       univariate_membership)
 
 
 def cpolys(p, nvars=2):

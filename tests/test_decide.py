@@ -17,7 +17,8 @@ from commforce.finitering import B, Mat, Presented, Up, family_json
 from commforce.freealg import NcPoly, commutator, format_ncpoly
 from commforce.gsb import COMMUTATOR, complete, is_commutative_presentation
 from commforce.oracle import RandomProfile, cross_validate, random_identities
-from reference import upper_scan_gcd
+from reference import (instance_gcd, instance_member, instance_value,
+                       upper_scan_gcd)
 
 X = NcPoly.var(1)
 Y = NcPoly.var(2)
@@ -202,6 +203,66 @@ def test_decide_b_twisted_identity():
     assert ring.is_commutative() is not True
 
 
+def random_summands(rng, s):
+    """A few summands (a, A, C) with small exponents and coefficients."""
+    def poly():
+        return commalg.CPoly({tuple(rng.randrange(3) for _ in range(s)):
+                              rng.randint(-2, 2)
+                              for _ in range(rng.randint(1, 3))}, s)
+    return [(rng.randint(1, s), poly(), poly())
+            for _ in range(rng.randint(1, 3))]
+
+
+def twist_terms(summands):
+    terms = {}
+    for a, A, C in summands:
+        decide._add_twist(terms, a, A, C, 1)
+    return terms
+
+
+def test_instance_member_matches_the_cpoly_reference():
+    """Folding the twist dict's exponents agrees with scaling them by
+    p^k on CPolys and then reducing modulo the field ideal."""
+    rng = random.Random(25)
+    members = 0
+    for _ in range(60):
+        s = rng.randint(1, 3)
+        p, n = rng.choice([2, 3, 5, 7]), rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        # X_b^(p^k m) against X_b^(p^k m + t(p^n - 1)): the pair cancels
+        # on F_{p^n} at the twist p^k, term by term only once the
+        # exponents fold
+        a, A, C = random_summands(rng, s)[0]
+        b, m, t = rng.randint(1, s), rng.randint(1, 2), rng.randint(0, 2)
+        Xb = commalg.CPoly.var(b, s)
+        paired = [(a, A * Xb ** m, C),
+                  (a, A, -(C * Xb ** (p ** k * m + t * (p ** n - 1))))]
+        assert decide._instance_member(twist_terms(paired), p, n, k) is True
+        assert instance_member(paired, s, p, n, k) is True
+        # but Y^0 and Y^(p^n - 1) differ at Y = 0
+        one, Y2 = commalg.CPoly.const(1, 2), commalg.CPoly.var(2, 2)
+        edge = [(1, one, one), (1, one, -(Y2 ** (p ** n - 1)))]
+        assert decide._instance_member(twist_terms(edge), p, n, k) is False
+        assert instance_member(edge, 2, p, n, k) is False
+        summands = random_summands(rng, s) + paired
+        terms = twist_terms(summands)
+        assert math.gcd(*terms.values()) == instance_gcd(summands, s)
+        # the dict's value is the reference value: their difference folds
+        # to zero
+        diff = dict(terms)
+        for e, c in instance_value(summands, s, p, k).terms.items():
+            key = ((0,) * s, e)
+            diff[key] = diff.get(key, 0) - c
+        assert decide._instance_member(diff, p, n, k) is True
+        for p in (2, 3, 5, 7):
+            for n in range(2, 7):
+                for k in range(1, n):
+                    got = decide._instance_member(terms, p, n, k)
+                    assert got is instance_member(summands, s, p, n, k)
+                    members += got
+    assert members > 100
+
+
 def test_decide_b_and_ap_reject_quartic():
     assert decide_B(ids(QUARTIC)) is None
     assert decide_Ap(ids(QUARTIC)) is None
@@ -310,6 +371,16 @@ def test_central_identity_skips_the_twisted_ring_scan():
     # on this Q runs for seconds before it finds nothing
     t = time.perf_counter()
     v = decide_all(ids(commutator((X ** 257).scale(3) + X.scale(2), Y)))
+    assert v.kind == "forces"
+    assert time.perf_counter() - t < 2.0
+
+
+def test_high_degree_twist_scan_is_fast():
+    # two central identities reach decide_B, whose twist-membership scan
+    # on this Q took over 20 s while it built a polynomial per summand
+    t = time.perf_counter()
+    v = decide_all(ids(commutator((X ** 257).scale(3) + X.scale(2), Y),
+                       commutator((Y ** 257).scale(3) + Y.scale(2), X)))
     assert v.kind == "forces"
     assert time.perf_counter() - t < 2.0
 
